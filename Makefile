@@ -1,12 +1,12 @@
 # Tier-1 verification and development targets. `make verify` is the
 # canonical local gate and mirrors the CI pipeline: format + vet gates,
 # build, tests, targeted race tests and the bwserved/bwpredict smoke
-# diff. `make ci` additionally runs the bench-regression check and the
-# service-level load + replay gates (separate CI jobs, kept out of
-# verify because benchmarks take ~20s).
+# diff. `make ci` additionally runs the fuzz targets, the
+# bench-regression check and the service-level load + replay gates
+# (separate CI jobs, kept out of verify because each takes ~20s).
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-check fmt vet serve smoke load-smoke replay-check gateway-smoke verify ci
+.PHONY: build test race fuzz bench bench-json bench-check fmt vet serve smoke load-smoke replay-check gateway-smoke verify ci
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,13 @@ test:
 race:
 	$(GO) test -race -cpu=1,2,8 ./internal/netsim/... ./internal/des/ ./internal/predict/ ./internal/replay/
 	$(GO) test -race ./internal/experiments/ ./internal/fault/ ./internal/server/ ./internal/fleet/ ./internal/gateway/ ./cmd/bwserved/ ./cmd/bwgate/
+
+# fuzz runs each fuzz target for a short fixed time. Their seed corpora
+# (testdata/fuzz) already run as plain tests under `go test`; this
+# explores beyond them. FuzzDegreePenalties holds the dense degree-model
+# kernels to the Definition 1 oracle, bit for bit.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDegreePenalties$$' -fuzztime 20s ./internal/model/
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
@@ -84,4 +91,4 @@ gateway-smoke:
 
 verify: fmt vet build test race smoke
 
-ci: verify bench-check load-smoke replay-check gateway-smoke
+ci: verify fuzz bench-check load-smoke replay-check gateway-smoke

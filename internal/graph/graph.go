@@ -9,6 +9,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -158,6 +159,15 @@ func (g *Graph) Nodes() []NodeID {
 // NumNodes returns the number of distinct endpoint nodes without
 // allocating.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
+
+// NodeIndex returns the position of n in Nodes(), or -1 when n is not
+// an endpoint. It allocates nothing.
+func (g *Graph) NodeIndex(n NodeID) int {
+	if i, ok := slices.BinarySearch(g.nodes, n); ok {
+		return i
+	}
+	return -1
+}
 
 // MaxNode returns the largest node id appearing as an endpoint, or -1
 // for an empty scheme. Dense per-node state can be sized from it.

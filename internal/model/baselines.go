@@ -13,17 +13,22 @@ type KimLee struct{}
 // Name implements core.Model.
 func (KimLee) Name() string { return "kimlee" }
 
-// Penalties implements core.Model.
-func (KimLee) Penalties(g *graph.Graph) []float64 {
-	out := make([]float64, g.Len())
-	for _, c := range g.Comms() {
-		p := g.OutDegree(c.Src)
-		if di := g.InDegree(c.Dst); di > p {
+// Penalties implements core.Model: the graph adapter over
+// DensePenalties.
+func (m KimLee) Penalties(g *graph.Graph) []float64 {
+	return viaKernel(m, g)
+}
+
+// DensePenalties implements Kernel.
+func (KimLee) DensePenalties(out []float64, d *Dense) {
+	d.degrees()
+	for i, s := range d.Src {
+		p := d.outDeg[s]
+		if di := d.inDeg[d.Dst[i]]; di > p {
 			p = di
 		}
-		out[c.ID] = clampPenalty(float64(p))
+		out[i] = clampPenalty(float64(p))
 	}
-	return out
 }
 
 // Linear is the LogGP-style contention-blind baseline (Section II): each
@@ -41,4 +46,11 @@ func (Linear) Penalties(g *graph.Graph) []float64 {
 		out[i] = 1
 	}
 	return out
+}
+
+// DensePenalties implements Kernel.
+func (Linear) DensePenalties(out []float64, d *Dense) {
+	for i := range d.Src {
+		out[i] = 1
+	}
 }

@@ -55,63 +55,38 @@ func (m DegreeModel) Name() string {
 	return m.ModelName
 }
 
-// Penalties implements core.Model.
+// Penalties implements core.Model: the graph adapter over
+// DensePenalties.
 func (m DegreeModel) Penalties(g *graph.Graph) []float64 {
-	out := make([]float64, g.Len())
-	for _, c := range g.Comms() {
-		po := m.outPenalty(g, c)
-		pi := m.inPenalty(g, c)
-		out[c.ID] = clampPenalty(maxf(po, pi))
-	}
-	return out
+	return viaKernel(m, g)
 }
 
-// outPenalty computes po for communication c.
-func (m DegreeModel) outPenalty(g *graph.Graph, c graph.Comm) float64 {
-	do := g.OutDegree(c.Src)
-	if do == 1 {
-		return 1
-	}
-	// Cm_o: communications from the same source whose destination
-	// in-degree is maximal.
-	maxDi, card := 0, 0
-	for _, id := range g.Sources(c.Src) {
-		di := g.InDegree(g.Comm(id).Dst)
-		switch {
-		case di > maxDi:
-			maxDi, card = di, 1
-		case di == maxDi:
-			card++
+// DensePenalties implements Kernel: p = max(po, pi) per communication,
+// with po and pi as in the type comment, in O(len(d.Src)) time.
+func (m DegreeModel) DensePenalties(out []float64, d *Dense) {
+	d.degrees()
+	d.strongSets()
+	for i, s := range d.Src {
+		t := d.Dst[i]
+		do, di := d.outDeg[s], d.inDeg[t]
+		po := 1.0
+		if do != 1 {
+			base := float64(do) * m.Beta
+			if di == d.maxIn[s] {
+				po = base * (1 + m.GammaOut*float64(do-d.cardO[s]))
+			} else {
+				po = base * (1 - m.GammaOut/float64(d.cardO[s]))
+			}
 		}
-	}
-	base := float64(do) * m.Beta
-	if g.InDegree(c.Dst) == maxDi {
-		return base * (1 + m.GammaOut*float64(do-card))
-	}
-	return base * (1 - m.GammaOut/float64(card))
-}
-
-// inPenalty computes pi for communication c.
-func (m DegreeModel) inPenalty(g *graph.Graph, c graph.Comm) float64 {
-	di := g.InDegree(c.Dst)
-	if di == 1 {
-		return 1
-	}
-	// Cm_i: communications to the same destination whose source
-	// out-degree is maximal.
-	maxDo, card := 0, 0
-	for _, id := range g.Destinations(c.Dst) {
-		do := g.OutDegree(g.Comm(id).Src)
-		switch {
-		case do > maxDo:
-			maxDo, card = do, 1
-		case do == maxDo:
-			card++
+		pi := 1.0
+		if di != 1 {
+			base := float64(di) * m.Beta
+			if do == d.maxOut[t] {
+				pi = base * (1 + m.GammaIn*float64(di-d.cardI[t]))
+			} else {
+				pi = base * (1 - m.GammaIn/float64(d.cardI[t]))
+			}
 		}
+		out[i] = clampPenalty(maxf(po, pi))
 	}
-	base := float64(di) * m.Beta
-	if g.OutDegree(c.Src) == maxDo {
-		return base * (1 + m.GammaIn*float64(di-card))
-	}
-	return base * (1 - m.GammaIn/float64(card))
 }

@@ -18,7 +18,10 @@
 //
 // All models return static penalties for a fixed conflict graph; the
 // progressive re-evaluation the paper's simulator performs lives in
-// package predict.
+// package predict. The degree-only models (GigE, InfiniBand, KimLee,
+// Linear) also implement Kernel, which evaluates the same formulas on a
+// densely interned communication set without allocating; their graph
+// Penalties methods are adapters over it.
 package model
 
 import (

@@ -1,6 +1,10 @@
 package netsim
 
-import "math"
+import (
+	"math"
+
+	"bwshare/internal/graph"
+)
 
 // Dense scratch state for the allocation core. graph.NodeID values are
 // small cluster indices, so per-node state lives in flat slices indexed by
@@ -9,11 +13,10 @@ import "math"
 // an epoch stamp instead of clearing, so a steady-state allocation does
 // zero heap allocation.
 
-// maxDenseNode bounds the node ids the dense path will intern. Schemes
-// use cluster node indices (tens to thousands); anything larger falls
-// back to the map-based reference implementation rather than allocating
-// a huge stamp table.
-const maxDenseNode = 1 << 22
+// maxDenseNode bounds the node ids the dense path will intern (see
+// graph.DenseLimit); anything larger falls back to the map-based
+// reference implementation.
+const maxDenseNode = graph.DenseLimit
 
 // denseOK reports whether every endpoint of flows is eligible for the
 // dense slot tables.
@@ -24,45 +27,6 @@ func denseOK(flows []*Flow) bool {
 		}
 	}
 	return true
-}
-
-// interner assigns dense slots 0,1,2,... to the distinct node ids seen
-// during one epoch. Slots are issued in first-seen order, which matches
-// the first-visit order of the reference implementation's maps.
-type interner struct {
-	slot  []int32
-	stamp []uint64
-	epoch uint64
-	n     int32 // slots issued this epoch
-}
-
-func (it *interner) begin() {
-	it.epoch++
-	it.n = 0
-}
-
-// intern returns the slot for node id v, issuing a fresh one on first
-// sight this epoch.
-func (it *interner) intern(v int) (slot int32, fresh bool) {
-	if v >= len(it.slot) {
-		n := v + 1
-		if n < 2*len(it.slot) {
-			n = 2 * len(it.slot)
-		}
-		ns := make([]int32, n)
-		copy(ns, it.slot)
-		it.slot = ns
-		nst := make([]uint64, n)
-		copy(nst, it.stamp)
-		it.stamp = nst
-	}
-	if it.stamp[v] != it.epoch {
-		it.stamp[v] = it.epoch
-		it.slot[v] = it.n
-		it.n++
-		return it.slot[v], true
-	}
-	return it.slot[v], false
 }
 
 // denseFill is the slice-backed progressive-filling state: per-flow
@@ -189,8 +153,8 @@ func (d *denseFill) run(flows []*Flow, flowCap float64) {
 // the dense fill state and the coupled allocator's intermediate arrays.
 // WaterFill draws one from a pool; each CoupledAllocator owns one.
 type fillScratch struct {
-	snd, rcv interner
-	up, dn   interner // edge-switch slots for the topology extension
+	snd, rcv graph.Interner
+	up, dn   graph.Interner // edge-switch slots for the topology extension
 	d        denseFill
 
 	effSend []float64 // per sender slot: coupling-adjusted capacity
@@ -199,10 +163,10 @@ type fillScratch struct {
 }
 
 func (s *fillScratch) begin() {
-	s.snd.begin()
-	s.rcv.begin()
-	s.up.begin()
-	s.dn.begin()
+	s.snd.Begin()
+	s.rcv.Begin()
+	s.up.Begin()
+	s.dn.Begin()
 	s.d.reset()
 	s.effSend = s.effSend[:0]
 	s.inflow = s.inflow[:0]
@@ -222,8 +186,8 @@ func (s *fillScratch) oversized() bool {
 		cap(s.effSend) > maxPooledScratchLen ||
 		cap(s.inflow) > maxPooledScratchLen ||
 		cap(s.rxCap) > maxPooledScratchLen ||
-		len(s.snd.slot) > maxPooledScratchLen ||
-		len(s.rcv.slot) > maxPooledScratchLen ||
-		len(s.up.slot) > maxPooledScratchLen ||
-		len(s.dn.slot) > maxPooledScratchLen
+		s.snd.Span() > maxPooledScratchLen ||
+		s.rcv.Span() > maxPooledScratchLen ||
+		s.up.Span() > maxPooledScratchLen ||
+		s.dn.Span() > maxPooledScratchLen
 }

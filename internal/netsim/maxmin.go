@@ -48,7 +48,7 @@ func WaterFill(flows []*Flow, flowCap float64, senderCap, recvCap map[graph.Node
 	sc.begin()
 	d := &sc.d
 	for _, f := range flows {
-		si, fresh := sc.snd.intern(int(f.Src))
+		si, fresh := sc.snd.Intern(int(f.Src))
 		if fresh {
 			c := capOf(senderCap, f.Src, defSend)
 			d.sndLeft = append(d.sndLeft, c)
@@ -57,7 +57,7 @@ func WaterFill(flows []*Flow, flowCap float64, senderCap, recvCap map[graph.Node
 		}
 		d.sndCount[si]++
 		d.sidx = append(d.sidx, si)
-		ri, fresh := sc.rcv.intern(int(f.Dst))
+		ri, fresh := sc.rcv.Intern(int(f.Dst))
 		if fresh {
 			c := capOf(recvCap, f.Dst, defRecv)
 			d.rcvLeft = append(d.rcvLeft, c)
@@ -261,7 +261,7 @@ func coupledDenseAllocate(cfg CoupledConfig, flows []*Flow, sc *fillScratch, liv
 	// healthy fabric, which multiplies exactly).
 	tracked := live != nil && live.tracking
 	for _, f := range flows {
-		si, fresh := sc.snd.intern(int(f.Src))
+		si, fresh := sc.snd.Intern(int(f.Src))
 		if fresh {
 			d.sndCount = append(d.sndCount, 0)
 			sc.effSend = append(sc.effSend, cfg.LineRate*cfg.Faults.HostFactor(int(f.Src)))
@@ -273,7 +273,7 @@ func coupledDenseAllocate(cfg CoupledConfig, flows []*Flow, sc *fillScratch, liv
 			d.sndCount[si]++
 		}
 		d.sidx = append(d.sidx, si)
-		ri, fresh := sc.rcv.intern(int(f.Dst))
+		ri, fresh := sc.rcv.Intern(int(f.Dst))
 		if fresh {
 			d.rcvCount = append(d.rcvCount, 0)
 			sc.inflow = append(sc.inflow, 0)

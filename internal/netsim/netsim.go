@@ -293,7 +293,12 @@ func (e *FluidEngine) StartFlow(src, dst graph.NodeID, bytes float64, now float6
 				if t, ok := e.nextCompletionTime(); ok && t < tf {
 					panic(fmt.Sprintf("netsim: StartFlow at %g skips completion at %g", now, t))
 				}
-				e.integrateTo(tf)
+				if len(e.crossFault(tf)) > 0 {
+					// A flow within rounding of tf finished at the
+					// change point, before now.
+					panic(fmt.Sprintf("netsim: StartFlow at %g skips completion at %g", now, tf))
+				}
+				continue
 			}
 			e.applyFaultStep()
 		}
@@ -345,8 +350,9 @@ func (e *FluidEngine) Advance(limit float64) ([]core.Completion, float64) {
 			// capacity overlay, and re-enter the loop to reallocate. A
 			// completion tying with a fault (te == tf) is reported first;
 			// the fault applies on the next iteration or Advance call.
-			e.integrateTo(tf)
-			e.applyFaultStep()
+			if done := e.crossFault(tf); len(done) > 0 {
+				return done, e.now
+			}
 			continue
 		}
 		if !ok || te > limit {
@@ -368,6 +374,20 @@ func (e *FluidEngine) Advance(limit float64) ([]core.Completion, float64) {
 			return done, e.now
 		}
 	}
+}
+
+// crossFault integrates the active set up to the fault change point tf,
+// reaps every flow that finished on the way, then steps the fault
+// timeline. A flow whose completion lies within float rounding of tf
+// reaches zero bytes here; reaping it at tf, before the next
+// reallocation, reports it once, at the change point, and keeps
+// allocators from ever seeing a finished flow. The returned slice is
+// reap's scratch.
+func (e *FluidEngine) crossFault(tf float64) []core.Completion {
+	e.integrateTo(tf)
+	done := e.reap(tf)
+	e.applyFaultStep()
+	return done
 }
 
 // forceReapDue finishes the flows whose completion time equals t within

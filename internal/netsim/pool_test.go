@@ -10,8 +10,8 @@ import "testing"
 // would: many flows and a large node id in the interner stamp tables.
 func inflateScratch(sc *fillScratch, flows int, maxNode int) {
 	sc.begin()
-	sc.snd.intern(maxNode)
-	sc.rcv.intern(maxNode)
+	sc.snd.Intern(maxNode)
+	sc.rcv.Intern(maxNode)
 	for i := 0; i < flows; i++ {
 		sc.d.sidx = append(sc.d.sidx, 0)
 	}

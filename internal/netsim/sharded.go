@@ -83,7 +83,7 @@ type engineShard struct {
 	done   []core.Completion // completions of the current reap phase
 
 	dirty    bool    // some owned component needs refresh
-	touchAll bool    // coarse mode: treat every flow as touched
+	touchAll bool    // treat every flow as touched at the next refresh or reap
 	seen     uint64  // touch-epoch watermark of the last refresh
 	min      float64 // min cached deadline over active; +Inf when none
 	nrem     int     // flows removed by the current reap phase
@@ -131,7 +131,7 @@ type shardedCore struct {
 	nlive    int // live flows across all shards
 	removals int // completions since the routing index was rebuilt
 	epoch    uint64
-	coarse   bool // an out-of-range node id collapsed routing to shard 0
+	coarse   bool // an out-of-range node id collapsed routing to shard 0; every event touches all flows
 
 	// Constraint-slot interning (-1 = no slot yet): senders/receivers
 	// by node id, uplinks/downlinks by edge-switch id. owner, csize and
@@ -375,7 +375,7 @@ func flowDeadline(f *Flow, now float64) float64 {
 // on phase workers.
 func (s *engineShard) refresh(c *shardedCore) {
 	now := c.now
-	all := s.touchAll
+	all := s.touchAll || c.coarse
 	s.touchAll = false
 	for _, f := range s.active {
 		f.touched = all || c.touch[c.uf.findRO(f.slot)] > s.seen
@@ -413,7 +413,7 @@ func (s *engineShard) refresh(c *shardedCore) {
 // shards.
 func (s *engineShard) reapAt(c *shardedCore, te float64) {
 	epoch := c.epoch
-	all := s.touchAll
+	all := s.touchAll || c.coarse
 	s.touchAll = false
 	if !all {
 		for _, f := range s.active {

@@ -421,6 +421,35 @@ func TestShardedCoarseFallback(t *testing.T) {
 	}
 }
 
+// TestShardedCoarseFromFirstFlow: an engine whose very first flow is
+// out of the dense range has no routing slots at all. Every event must
+// still integrate and refill all flows, at any shard count, and agree
+// with the sequential core.
+func TestShardedCoarseFromFirstFlow(t *testing.T) {
+	cfg := churnSubstrates[1].cfg
+	base := graph.NodeID(maxDenseNode) + 3
+	run := func(e *FluidEngine) []core.Completion {
+		e.StartFlow(base, base+1, 10e6, 0)
+		e.StartFlow(base+2, base+1, 20e6, 0)
+		e.StartFlow(base, base+3, 5e6, 0)
+		return core.Drain(e)
+	}
+	got := run(shardedTestEngine(cfg, nil, 4))
+	want := run(shardedTestEngine(cfg, nil, 1))
+	seq := run(NewFluidEngine("seq", cfg.FlowCap, &IncrementalAllocator{Cfg: cfg}))
+	if len(got) != 3 || len(want) != 3 || len(seq) != 3 {
+		t.Fatalf("completions: 4 shards %v, 1 shard %v, sequential %v", got, want, seq)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("completion %d diverged across shard counts: %+v vs %+v", i, got[i], want[i])
+		}
+		if got[i].Flow != seq[i].Flow || math.Abs(got[i].Time-seq[i].Time) > 1e-9*seq[i].Time {
+			t.Fatalf("completion %d: sharded %+v, sequential %+v", i, got[i], seq[i])
+		}
+	}
+}
+
 // blockingAlloc is a ComponentAllocator whose Allocate parks until
 // released, so a test can hold an engine mid-Advance from the driving
 // goroutine's perspective.

@@ -38,7 +38,7 @@ func prepTopoLinks(sc *fillScratch, flows []*Flow, topo topology.Spec, linkCap f
 			d.didx = append(d.didx, -1)
 			continue
 		}
-		ui, fresh := sc.up.intern(ss)
+		ui, fresh := sc.up.Intern(ss)
 		if fresh {
 			c := linkCap * fs.LinkFactor(ss)
 			d.upLeft = append(d.upLeft, c)
@@ -47,7 +47,7 @@ func prepTopoLinks(sc *fillScratch, flows []*Flow, topo topology.Spec, linkCap f
 		}
 		d.upCount[ui]++
 		d.uidx = append(d.uidx, ui)
-		di, fresh := sc.dn.intern(ds)
+		di, fresh := sc.dn.Intern(ds)
 		if fresh {
 			c := linkCap * fs.LinkFactor(ds)
 			d.dnLeft = append(d.dnLeft, c)
@@ -258,7 +258,7 @@ func WaterFillTopo(flows []*Flow, flowCap float64, senderCap, recvCap map[graph.
 	sc.begin()
 	d := &sc.d
 	for _, f := range flows {
-		si, fresh := sc.snd.intern(int(f.Src))
+		si, fresh := sc.snd.Intern(int(f.Src))
 		if fresh {
 			c := capOf(senderCap, f.Src, defSend)
 			d.sndLeft = append(d.sndLeft, c)
@@ -267,7 +267,7 @@ func WaterFillTopo(flows []*Flow, flowCap float64, senderCap, recvCap map[graph.
 		}
 		d.sndCount[si]++
 		d.sidx = append(d.sidx, si)
-		ri, fresh := sc.rcv.intern(int(f.Dst))
+		ri, fresh := sc.rcv.Intern(int(f.Dst))
 		if fresh {
 			c := capOf(recvCap, f.Dst, defRecv)
 			d.rcvLeft = append(d.rcvLeft, c)

@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -130,6 +131,67 @@ func TestFaultedSessionRejections(t *testing.T) {
 			t.Errorf("%s: no error", c.name)
 		} else if !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestFaultedSessionChangePointAtCompletion sweeps host slowdowns that
+// start one or two ulps before a lone flow's completion, where
+// integrating to the change point leaves that flow at exactly zero
+// bytes. Sequential sessions on the GigE model, on Myrinet's graph path
+// and on a fat-tree must all predict without panicking, finishing the
+// flow at its completion time or at the change point.
+func TestFaultedSessionChangePointAtCompletion(t *testing.T) {
+	fatTree := topology.Spec{Kind: topology.FatTree, Switches: 4, HostsPerSwitch: 4, Oversub: 2, Place: topology.RoundRobin}
+	sessions := []struct {
+		name  string
+		model string
+		topo  topology.Spec
+	}{
+		{"gige", "gige", topology.Spec{}},
+		{"myrinet", "myrinet", topology.Spec{}},
+		{"fattree", "gige", fatTree},
+	}
+	for _, sc := range sessions {
+		m, sub, err := LookupModel(sc.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := sub.RefRate()
+		atChange := 0
+		for k := 1; k < 4000; k++ {
+			vol := 1e6 + float64(k)*977.3
+			g := graph.NewBuilder().Add("a", 0, 1, vol).Add("b", 2, 3, 1.37*vol).MustBuild()
+			at := vol / ref
+			for ulps := 1; ulps <= 2; ulps++ {
+				at = math.Nextafter(at, 0)
+				sched := fault.Schedule{Events: []fault.Event{{Kind: fault.HostSlow, Target: 3, Factor: 0.5, At: at, Until: 2 * at}}}
+				s, err := NewSessionWithFaults(m, ref, sc.topo, sched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var times []float64
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Fatalf("%s k=%d ulps=%d: %v", sc.name, k, ulps, r)
+						}
+					}()
+					times = s.Times(g)
+				}()
+				if te := vol / ref; times[0] != te && times[0] != at {
+					t.Fatalf("%s k=%d ulps=%d: flow a done at %.17g, want %.17g or change point %.17g", sc.name, k, ulps, times[0], te, at)
+				}
+				if times[0] == at {
+					atChange++
+				}
+				if !(times[1] > times[0]) {
+					t.Fatalf("%s k=%d ulps=%d: flow b done at %.17g, before flow a at %.17g", sc.name, k, ulps, times[1], times[0])
+				}
+			}
+		}
+		if atChange == 0 {
+			t.Fatalf("%s: no flow finished at a change point; the sweep no longer covers the boundary", sc.name)
 		}
 	}
 }

@@ -30,7 +30,6 @@ import (
 
 	"bwshare/internal/core"
 	"bwshare/internal/fault"
-	"bwshare/internal/graph"
 	"bwshare/internal/netsim"
 	"bwshare/internal/topology"
 )
@@ -59,12 +58,15 @@ func NewSessionParallel(m core.Model, refRate float64, topo topology.Spec, sched
 	}
 	name := fmt.Sprintf("predict-%s-x%d", m.Name(), shards)
 	e := netsim.NewShardedFluidEngine(name, refRate, shards, func() netsim.Allocator {
-		a := &componentModelAllocator{m: m, ref: refRate, topo: topo}
+		var st *fault.State
 		if tl != nil {
-			a.faults = tl.State()
-			a.tf.Faults = tl.State()
+			st = tl.State()
 		}
-		return a
+		return &componentModelAllocator{topoModelAllocator{
+			modelAllocator: newModelAllocator(m, refRate, st),
+			topo:           topo,
+			tf:             netsim.TopoFiller{Faults: st},
+		}}
 	})
 	if tl != nil {
 		e.SetFaults(tl)
@@ -74,16 +76,14 @@ func NewSessionParallel(m core.Model, refRate float64, topo topology.Spec, sched
 
 // componentModelAllocator adapts a component-local penalty Model to the
 // sharded engine's ComponentAllocator contract: it groups the flows it
-// is handed into constraint-graph components and evaluates the model
-// (and, on a fabric, the uplink water-fill) once per component, so a
-// component's rates never depend on what else shares its shard. One
-// instance per shard: the topology filler carries scratch.
+// is handed into constraint-graph components and runs the sequential
+// allocator (model penalties, degraded-endpoint caps and, on a fabric,
+// the uplink water-fill) once per component, so a component's rates
+// never depend on what else shares its shard. All fabric links a
+// component's flows cross belong to the component by construction. One
+// instance per shard: the allocator and filler carry scratch.
 type componentModelAllocator struct {
-	m      core.Model
-	ref    float64
-	topo   topology.Spec
-	faults *fault.State      // nil on a healthy fabric
-	tf     netsim.TopoFiller // per-shard scratch for the uplink fill
+	topoModelAllocator
 }
 
 var _ netsim.ComponentAllocator = (*componentModelAllocator)(nil)
@@ -97,38 +97,7 @@ func (a *componentModelAllocator) Allocate(flows []*netsim.Flow) {
 		return
 	}
 	for _, grp := range componentGroups(flows, a.topo) {
-		a.fill(grp)
-	}
-}
-
-// fill scores one constraint component: model penalties set the
-// crossbar-level rates, degraded endpoints cap them, and on a fabric
-// the shared uplinks water-fill the result (all fabric links a
-// component's flows cross belong to the component by construction).
-func (a *componentModelAllocator) fill(flows []*netsim.Flow) {
-	b := graph.NewBuilder()
-	for _, f := range flows {
-		b.Add(fmt.Sprintf("f%d", f.ID), f.Src, f.Dst, f.Remaining)
-	}
-	g, err := b.Build()
-	if err != nil {
-		panic("predict: building active conflict graph: " + err.Error())
-	}
-	p := a.m.Penalties(g)
-	for i, f := range flows {
-		r := a.ref / p[i]
-		if a.faults != nil {
-			if c := a.ref * a.faults.HostFactor(int(f.Src)); c < r {
-				r = c
-			}
-			if c := a.ref * a.faults.HostFactor(int(f.Dst)); c < r {
-				r = c
-			}
-		}
-		f.Rate = r
-	}
-	if !a.topo.Trivial() {
-		a.tf.Apply(flows, a.topo, a.ref)
+		a.topoModelAllocator.Allocate(grp)
 	}
 }
 
@@ -136,8 +105,7 @@ func (a *componentModelAllocator) fill(flows []*netsim.Flow) {
 // constraint graph (shared sender NIC, receiver NIC, or edge-switch
 // uplink/downlink of crossing flows), components in first-flow order
 // with slice order preserved inside each. Transliterated from netsim's
-// reference oracle; this path carries no zero-allocation obligation —
-// model evaluation itself allocates.
+// reference oracle; this path carries no zero-allocation obligation.
 func componentGroups(flows []*netsim.Flow, topo topology.Spec) [][]*netsim.Flow {
 	type key struct {
 		kind uint8

@@ -13,6 +13,13 @@
 // NewEngine wraps any core.Model as a core.Engine, so predicted times and
 // substrate-measured times come from running the same drivers.
 //
+// Models that implement model.Kernel — the GigE and InfiniBand degree
+// models, KimLee and Linear — are evaluated at each event straight from
+// the active flows' interned endpoints, in O(active flows) time and with
+// no allocation once the engine is warm. Myrinet's state-set model has
+// no kernel and, like any flow set naming a node id at or past
+// graph.DenseLimit, is evaluated on a conflict graph rebuilt per event.
+//
 // Two calling conventions are offered: the one-shot package functions
 // (Times, StaticTimes, Penalties) allocate a fresh engine per call, and
 // the handle-based Session reuses one pooled engine plus scratch buffers
@@ -22,6 +29,7 @@ package predict
 
 import (
 	"fmt"
+	"strconv"
 
 	"bwshare/internal/core"
 	"bwshare/internal/fault"
@@ -38,7 +46,7 @@ import (
 // base/penalty(model, active conflict graph). refRate is the idle-network
 // single-flow rate in bytes/second (penalty 1).
 func NewEngine(m core.Model, refRate float64) *netsim.FluidEngine {
-	return netsim.NewFluidEngine("predict-"+m.Name(), refRate, &modelAllocator{m: m, ref: refRate})
+	return netsim.NewFluidEngine("predict-"+m.Name(), refRate, newAllocator(m, refRate, topology.Spec{}, nil))
 }
 
 // NewEngineWithTopology is NewEngine on a multi-switch fabric: the
@@ -51,11 +59,7 @@ func NewEngineWithTopology(m core.Model, refRate float64, topo topology.Spec) *n
 	if topo.Trivial() {
 		return NewEngine(m, refRate)
 	}
-	a := &topoModelAllocator{
-		modelAllocator: modelAllocator{m: m, ref: refRate},
-		topo:           topo,
-	}
-	return netsim.NewFluidEngine("predict-"+m.Name()+"-"+topo.Kind.String(), refRate, a)
+	return netsim.NewFluidEngine("predict-"+m.Name()+"-"+topo.Kind.String(), refRate, newAllocator(m, refRate, topo, nil))
 }
 
 // NewEngineWithFaults is NewEngineWithTopology on a degraded fabric:
@@ -77,35 +81,49 @@ func NewEngineWithFaults(m core.Model, refRate float64, topo topology.Spec, sche
 		return nil, fmt.Errorf("fault: event %d (%s): permanent zero-capacity fault stalls prediction forever; add an until clause", i, sched.Events[i])
 	}
 	tl := fault.Compile(sched)
-	ma := modelAllocator{m: m, ref: refRate, faults: tl.State()}
-	var (
-		alloc netsim.Allocator
-		name  = "predict-" + m.Name() + "-faulted"
-	)
-	if topo.Trivial() {
-		alloc = &ma
-	} else {
-		alloc = &topoModelAllocator{
-			modelAllocator: ma,
-			topo:           topo,
-			tf:             netsim.TopoFiller{Faults: tl.State()},
-		}
+	name := "predict-" + m.Name() + "-faulted"
+	if !topo.Trivial() {
 		name = "predict-" + m.Name() + "-" + topo.Kind.String() + "-faulted"
 	}
-	e := netsim.NewFluidEngine(name, refRate, alloc)
+	e := netsim.NewFluidEngine(name, refRate, newAllocator(m, refRate, topo, tl.State()))
 	e.SetFaults(tl)
 	return e, nil
 }
 
+// newAllocator returns the sequential engine's allocator: the model
+// alone on a trivial fabric, followed by the uplink fill otherwise.
+// faults is the engine's fault overlay, nil on a healthy fabric.
+func newAllocator(m core.Model, ref float64, topo topology.Spec, faults *fault.State) netsim.Allocator {
+	ma := newModelAllocator(m, ref, faults)
+	if topo.Trivial() {
+		return ma
+	}
+	return &topoModelAllocator{modelAllocator: ma, topo: topo, tf: netsim.TopoFiller{Faults: faults}}
+}
+
 // modelAllocator adapts a penalty Model to the fluid Allocator interface.
+// Models with a dense kernel (model.Kernel) are evaluated straight from
+// the flows' interned endpoints, in O(flows) time and with no allocation
+// once warm; other models, and flow sets naming a node id at or past
+// graph.DenseLimit, get a conflict graph rebuilt on every call.
 type modelAllocator struct {
 	m   core.Model
+	k   model.Kernel // m's dense kernel, nil if it has none
 	ref float64
 	// faults, when non-nil, is the shared overlay of a fault.Timeline the
 	// engine steps: the model's penalties assume healthy NICs, so each
 	// flow's rate is additionally capped by its endpoints' degraded NIC
 	// shares, ref * factor. Healthy engines leave it nil.
 	faults *fault.State
+
+	snd, rcv graph.Interner // per-call endpoint slots for the kernel
+	dense    model.Dense
+	pen      []float64
+}
+
+func newModelAllocator(m core.Model, ref float64, faults *fault.State) *modelAllocator {
+	k, _ := m.(model.Kernel)
+	return &modelAllocator{m: m, k: k, ref: ref, faults: faults}
 }
 
 // Allocate implements netsim.Allocator.
@@ -113,15 +131,7 @@ func (a *modelAllocator) Allocate(flows []*netsim.Flow) {
 	if len(flows) == 0 {
 		return
 	}
-	b := graph.NewBuilder()
-	for _, f := range flows {
-		b.Add(fmt.Sprintf("f%d", f.ID), f.Src, f.Dst, f.Remaining)
-	}
-	g, err := b.Build()
-	if err != nil {
-		panic("predict: building active conflict graph: " + err.Error())
-	}
-	p := a.m.Penalties(g)
+	p := a.penalties(flows)
 	for i, f := range flows {
 		r := a.ref / p[i]
 		if a.faults != nil {
@@ -136,11 +146,60 @@ func (a *modelAllocator) Allocate(flows []*netsim.Flow) {
 	}
 }
 
+// penalties returns the model's penalty for each flow, in flow order.
+func (a *modelAllocator) penalties(flows []*netsim.Flow) []float64 {
+	if a.k == nil || !a.intern(flows) {
+		return a.m.Penalties(conflictGraph(flows))
+	}
+	a.pen = growF(a.pen, len(flows))
+	a.k.DensePenalties(a.pen, &a.dense)
+	return a.pen
+}
+
+// intern lays flows out in a.dense. It reports false when an endpoint
+// is negative or at or past graph.DenseLimit, leaving those flows to
+// the graph path (whose build rejects negative ids). A self-loop panics
+// here just as it would in the graph build.
+func (a *modelAllocator) intern(flows []*netsim.Flow) bool {
+	a.snd.Begin()
+	a.rcv.Begin()
+	d := &a.dense
+	d.Src, d.Dst = d.Src[:0], d.Dst[:0]
+	for _, f := range flows {
+		if f.Src < 0 || f.Dst < 0 || f.Src >= graph.DenseLimit || f.Dst >= graph.DenseLimit {
+			return false
+		}
+		if f.Src == f.Dst {
+			panic(fmt.Sprintf("predict: flow %d is a self-loop on node %d", f.ID, f.Src))
+		}
+		s, _ := a.snd.Intern(int(f.Src))
+		t, _ := a.rcv.Intern(int(f.Dst))
+		d.Src = append(d.Src, s)
+		d.Dst = append(d.Dst, t)
+	}
+	d.NumSrc, d.NumDst = a.snd.Len(), a.rcv.Len()
+	return true
+}
+
+// conflictGraph builds the active conflict graph of flows, comm i being
+// flow i.
+func conflictGraph(flows []*netsim.Flow) *graph.Graph {
+	b := graph.NewBuilder()
+	for _, f := range flows {
+		b.Add("f"+strconv.Itoa(f.ID), f.Src, f.Dst, f.Remaining)
+	}
+	g, err := b.Build()
+	if err != nil {
+		panic("predict: building active conflict graph: " + err.Error())
+	}
+	return g
+}
+
 // topoModelAllocator is a modelAllocator followed by the fabric's
 // uplink constraints: penalties yield crossbar-level rates, which the
 // TopoFiller then water-fills under the shared per-switch links.
 type topoModelAllocator struct {
-	modelAllocator
+	*modelAllocator
 	topo topology.Spec
 	tf   netsim.TopoFiller
 }

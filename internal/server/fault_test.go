@@ -5,12 +5,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"bwshare/internal/predict"
 	"bwshare/internal/report"
 )
 
@@ -52,6 +54,32 @@ func TestPredictWithFaultsBlock(t *testing.T) {
 	}
 	if h2 := decode(postJSON(t, ts.URL+"/v1/predict", healthyReq)); !h2.Cached || h2.Comms[0].Time != healthy.Comms[0].Time {
 		t.Errorf("healthy prediction disturbed by degraded neighbor: %+v", h2)
+	}
+}
+
+// TestPredictFaultAtCompletionBoundary: a host slowdown starting one or
+// two ulps before a flow's completion leaves that flow at zero bytes at
+// the change point. The prediction must still answer 200, never a 500
+// from a panicking simulation.
+func TestPredictFaultAtCompletionBoundary(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: 16})
+	_, sub, err := predict.LookupModel("gige")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := sub.RefRate()
+	for k := 1; k <= 80; k++ {
+		vol := 1e6 + float64(k)*977.3
+		at := vol / ref
+		for ulps := 1; ulps <= 2; ulps++ {
+			at = math.Nextafter(at, 0)
+			req := PredictRequest{Model: "gige",
+				Comms:  []CommRequest{{Src: 0, Dst: 1, Volume: vol}, {Src: 2, Dst: 3, Volume: 1.37 * vol}},
+				Faults: []FaultRequest{{Kind: "host_slow", Host: intp(3), Factor: 0.5, At: at, Until: 2 * at}}}
+			if code, body := postJSON(t, ts.URL+"/v1/predict", req); code != http.StatusOK {
+				t.Fatalf("k=%d ulps=%d: status %d: %s", k, ulps, code, body)
+			}
+		}
 	}
 }
 
