@@ -6,7 +6,7 @@
 # (separate CI jobs, kept out of verify because each takes ~20s).
 GO ?= go
 
-.PHONY: build test race fuzz bench bench-json bench-check fmt vet serve smoke load-smoke replay-check gateway-smoke verify ci
+.PHONY: build test race allocs fuzz bench bench-json bench-check fmt vet serve smoke load-smoke replay-check gateway-smoke verify ci
 
 build:
 	$(GO) build ./...
@@ -16,21 +16,28 @@ test:
 
 # race covers the concurrency-bearing packages, matching the CI race
 # step: the parallel experiment runner, the engines, and the HTTP
-# serving layer (worker tier, gateway tier and their binaries). The sharded-engine packages (worker-shard fan-out in
-# netsim, the parallel predict sessions, the des queues they own and
-# the replay driver on top) additionally run at -cpu=1,2,8 so the
-# shard workers execute both inline (GOMAXPROCS=1) and truly parallel,
-# with the bit-identical differential tests under the detector.
+# serving layer (worker tier, gateway tier and their binaries). The
+# engine packages (netsim, predict sessions, the des queue and the
+# replay package) run at -cpu=1,2,8, so their differential tests see
+# more than one GOMAXPROCS under the detector.
 race:
 	$(GO) test -race -cpu=1,2,8 ./internal/netsim/... ./internal/des/ ./internal/predict/ ./internal/replay/
 	$(GO) test -race ./internal/experiments/ ./internal/fault/ ./internal/server/ ./internal/fleet/ ./internal/gateway/ ./cmd/bwserved/ ./cmd/bwgate/
 
+# allocs runs the zero-allocation tests at GOMAXPROCS 1 and 4: an
+# allocation that only shows with more than one P fails here too.
+allocs:
+	$(GO) test -run 'ZeroAllocs' -cpu=1,4 ./internal/netsim/... ./internal/predict/ ./internal/fault/ ./internal/model/
+
 # fuzz runs each fuzz target for a short fixed time. Their seed corpora
 # (testdata/fuzz) already run as plain tests under `go test`; this
 # explores beyond them. FuzzDegreePenalties holds the dense degree-model
-# kernels to the Definition 1 oracle, bit for bit.
+# kernels to the Definition 1 oracle, bit for bit. FuzzResolveGraph
+# feeds request bodies to the serving layer's resolver: no panic, and
+# every accepted fault schedule compiles with bounded host ids.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDegreePenalties$$' -fuzztime 20s ./internal/model/
+	$(GO) test -run '^$$' -fuzz '^FuzzResolveGraph$$' -fuzztime 20s ./internal/api/
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
@@ -89,6 +96,6 @@ replay-check:
 gateway-smoke:
 	sh scripts/gateway_smoke.sh
 
-verify: fmt vet build test race smoke
+verify: fmt vet build test allocs race smoke
 
 ci: verify fuzz bench-check load-smoke replay-check gateway-smoke

@@ -239,25 +239,17 @@ func TestPredictIBAlias(t *testing.T) {
 	}
 }
 
-// TestPredictShardsBitIdentical: -shards must not change a single byte
-// of the report, faulted or not (the sharded engine's determinism
-// contract), and negative counts are rejected.
-func TestPredictShardsBitIdentical(t *testing.T) {
-	for _, scheme := range []string{"fig4", "s5"} {
-		var seq, par strings.Builder
-		if err := run([]string{"-model", "gige", "-scheme", scheme}, &seq); err != nil {
-			t.Fatal(err)
-		}
-		if err := run([]string{"-model", "gige", "-scheme", scheme, "-shards", "8"}, &par); err != nil {
-			t.Fatal(err)
-		}
-		if seq.String() != par.String() {
-			t.Errorf("%s: sharded report differs from sequential:\n--- sequential\n%s--- sharded\n%s",
-				scheme, seq.String(), par.String())
-		}
+// TestPredictRejectsUnboundedHostFault: a fault: header on a host past
+// the node id limit is an error, not a fault table sized by the id.
+func TestPredictRejectsUnboundedHostFault(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "far.txt")
+	src := "fault: host 68719476736 slow 0.5 at 0.1 until 0.2\na: 0 -> 1\n"
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := run([]string{"-model", "gige", "-scheme", "s1", "-shards", "-2"}, &sb); err == nil {
-		t.Error("negative -shards accepted")
+	err := run([]string{"-model", "gige", "-file", path}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("got %v, want a host limit error", err)
 	}
 }

@@ -51,6 +51,9 @@ func ResolveGraph(req PredictRequest) (*graph.Graph, topology.Spec, fault.Schedu
 			}
 		}
 	}
+	if err := CheckFaultHosts(sched); err != nil {
+		return nil, topo, sched, err
+	}
 	if g.Len() > MaxComms {
 		return nil, topo, sched, fmt.Errorf("scheme has %d communications, limit %d", g.Len(), MaxComms)
 	}
@@ -72,6 +75,19 @@ func ResolveGraph(req PredictRequest) (*graph.Graph, topology.Spec, fault.Schedu
 		return nil, topo, sched, fmt.Errorf("static prediction cannot model faults; drop static or the faults")
 	}
 	return g, topo, sched, nil
+}
+
+// CheckFaultHosts rejects host_slow targets at or past MaxNodeID. A
+// crossbar has no host bound of its own (fault.CheckEvent accepts any
+// non-negative host there), yet fault.Compile sizes its host tables by
+// the largest target, so an unbounded id would exhaust memory.
+func CheckFaultHosts(sched fault.Schedule) error {
+	for i, e := range sched.Events {
+		if e.Kind == fault.HostSlow && e.Target >= MaxNodeID {
+			return fmt.Errorf("fault %d (%s): host id exceeds limit %d", i, e, MaxNodeID-1)
+		}
+	}
+	return nil
 }
 
 // ResolveGraphForm resolves just the scheme form (catalog name, scheme

@@ -10,7 +10,7 @@ import "testing"
 // TestFreeListCapped: recycling more events than maxFreeEvents keeps
 // the free list at the cap — the excess structs go to the GC.
 func TestFreeListCapped(t *testing.T) {
-	q := NewQueue()
+	q := new(Queue)
 	const n = maxFreeEvents + 512
 	for i := 0; i < n; i++ {
 		q.Schedule(float64(i), func() {})
@@ -35,7 +35,7 @@ func TestFreeListCapped(t *testing.T) {
 // cap still had its generation bumped, so a stale Handle to it cancels
 // nothing even though the struct never re-enters the pool.
 func TestDroppedEventHandleStaysInvalid(t *testing.T) {
-	q := NewQueue()
+	q := new(Queue)
 	handles := make([]Handle, 0, maxFreeEvents+8)
 	for i := 0; i < maxFreeEvents+8; i++ {
 		handles = append(handles, q.Schedule(float64(i), func() {}))
@@ -56,7 +56,7 @@ func TestDroppedEventHandleStaysInvalid(t *testing.T) {
 // reuses pooled structs and allocates nothing — the guarantee the
 // Myrinet packet path and the replay driver rely on.
 func TestSteadyStateReusesEvents(t *testing.T) {
-	q := NewQueue()
+	q := new(Queue)
 	var r nopRunner
 	// Warm the pool.
 	for i := 0; i < 64; i++ {

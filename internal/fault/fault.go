@@ -4,7 +4,7 @@
 //
 // A Schedule is pure data — a list of timed Events — and is immutable
 // once built. It compiles (see Timeline) into a sequence of capacity
-// snapshots that the fluid engine applies mid-replay, so the same
+// changes that the fluid engine applies mid-replay, so the same
 // Schedule drives both the optimized incremental allocator and the
 // map-based reference oracle to bit-identical results.
 //

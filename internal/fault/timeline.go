@@ -48,114 +48,155 @@ func (s *State) HostFactor(h int) float64 {
 	return s.host[h]
 }
 
-// snapshot is one precompiled factor assignment.
-type snapshot struct {
-	link []float64
-	host []float64
+// set writes target t's factor.
+func (s *State) set(t Target, f float64) {
+	if t.Kind == TargetLink {
+		s.link[t.ID] = f
+	} else {
+		s.host[t.ID] = f
+	}
 }
 
-// step is one change point of the compiled timeline.
+// step is one change point of the compiled timeline: the targets whose
+// factor changed and, index for index, their new factors.
 type step struct {
 	at      float64
-	snap    snapshot
 	changed []Target
+	factors []float64
 }
 
-// Timeline is a Schedule compiled against nothing but itself: a sorted
-// sequence of capacity snapshots, one per distinct change time after
-// t=0, plus the initial state (faults at or before t=0 folded in).
+// Timeline is a Schedule compiled against nothing but itself: the
+// initial state (faults at or before t=0 folded in) plus a sorted
+// sequence of change points, one per distinct change time after t=0.
 //
 // Compilation resolves overlaps by multiplying the factors of every
 // event active at each instant, so a double failure of the same link
-// stays down until the *last* repair. Each step carries the exact set
-// of targets whose factor changed, which the incremental allocator uses
-// to dirty only the affected constraint components.
+// stays down until the *last* repair. Each step stores only the targets
+// whose factor changed and their new factors, so a compiled timeline
+// takes memory proportional to the number of changes, plus the State's
+// one factor per switch and host up to the largest target. The changed
+// targets are also what the incremental allocator uses to dirty only
+// the affected constraint components.
 //
 // Rewind and Step mutate the shared State in place and allocate
 // nothing, so a rewind/step/allocate cycle runs at 0 allocs/op.
 type Timeline struct {
-	state  State
-	init   snapshot
-	steps  []step
-	cursor int
+	state   State
+	targets []Target // every target some event names
+	init    step     // factors at t=0 that differ from healthy
+	steps   []step
+	cursor  int
 }
 
 // Compile builds the timeline for a schedule. The schedule must already
 // be validated; Compile only sizes the factor tables off the largest
 // target index it sees. Compiling the empty schedule yields a timeline
-// with no steps and all-healthy state.
+// with no steps and all-healthy state. A factor of -0 compiles as 0.
 func Compile(sched Schedule) *Timeline {
+	// Group the events by target, each group in schedule order, so a
+	// target's factor is the same product, in the same order, whenever
+	// it is evaluated.
+	tl := &Timeline{}
+	index := make(map[Target]int)
+	var byTarget [][]Event
 	nLink, nHost := 0, 0
 	for _, e := range sched.Events {
-		switch e.Kind {
-		case LinkDown, LinkDegrade:
-			if e.Target >= nLink {
-				nLink = e.Target + 1
-			}
-		case HostSlow:
-			if e.Target >= nHost {
-				nHost = e.Target + 1
-			}
+		t := Target{TargetHost, e.Target}
+		if e.Kind != HostSlow {
+			t.Kind = TargetLink
+			nLink = max(nLink, e.Target+1)
+		} else {
+			nHost = max(nHost, e.Target+1)
 		}
+		k, ok := index[t]
+		if !ok {
+			k = len(tl.targets)
+			index[t] = k
+			tl.targets = append(tl.targets, t)
+			byTarget = append(byTarget, nil)
+		}
+		byTarget[k] = append(byTarget[k], e)
 	}
-	at := func(t float64) snapshot {
-		sn := snapshot{link: make([]float64, nLink), host: make([]float64, nHost)}
-		for i := range sn.link {
-			sn.link[i] = 1
-		}
-		for i := range sn.host {
-			sn.host[i] = 1
-		}
-		for _, e := range sched.Events {
-			if !e.activeAt(t) {
-				continue
-			}
-			f := e.Factor // LinkDown validates to 0
-			switch e.Kind {
-			case LinkDown, LinkDegrade:
-				sn.link[e.Target] *= f
-			case HostSlow:
-				sn.host[e.Target] *= f
+	factorAt := func(k int, t float64) float64 {
+		f := 1.0
+		for _, e := range byTarget[k] {
+			if e.activeAt(t) {
+				f *= e.Factor
 			}
 		}
-		return sn
-	}
-	times := make([]float64, 0, 2*len(sched.Events))
-	seen := make(map[float64]bool)
-	add := func(t float64) {
-		if t > 0 && !seen[t] {
-			seen[t] = true
-			times = append(times, t)
+		if f == 0 {
+			f = 0 // no -0: equal factors are then equal bit for bit
 		}
+		return f
 	}
-	for _, e := range sched.Events {
-		add(e.At)
-		add(e.Until)
-	}
-	sort.Float64s(times)
 
-	tl := &Timeline{init: at(0)}
-	prev := tl.init
-	for _, t := range times {
-		sn := at(t)
-		var changed []Target
-		for i := range sn.link {
-			if sn.link[i] != prev.link[i] {
-				changed = append(changed, Target{TargetLink, i})
+	// cur holds each target's factor as of the last recorded change.
+	cur := make([]float64, len(tl.targets))
+	for k := range tl.targets {
+		cur[k] = factorAt(k, 0)
+		if cur[k] != 1 {
+			tl.init.changed = append(tl.init.changed, tl.targets[k])
+			tl.init.factors = append(tl.init.factors, cur[k])
+		}
+	}
+
+	// A target's factor can only change at one of its own events'
+	// injection or repair times after t=0.
+	type bound struct {
+		at float64
+		k  int
+	}
+	var bounds []bound
+	for k, evs := range byTarget {
+		for _, e := range evs {
+			if e.At > 0 {
+				bounds = append(bounds, bound{e.At, k})
+			}
+			if e.Until > 0 {
+				bounds = append(bounds, bound{e.Until, k})
 			}
 		}
-		for i := range sn.host {
-			if sn.host[i] != prev.host[i] {
-				changed = append(changed, Target{TargetHost, i})
+	}
+	// Within one change time, links come before hosts, each by id.
+	sort.Slice(bounds, func(i, j int) bool {
+		a, b := bounds[i], bounds[j]
+		if a.at != b.at {
+			return a.at < b.at
+		}
+		ta, tb := tl.targets[a.k], tl.targets[b.k]
+		if ta.Kind != tb.Kind {
+			return ta.Kind < tb.Kind
+		}
+		return ta.ID < tb.ID
+	})
+	for i := 0; i < len(bounds); {
+		at := bounds[i].at
+		var s step
+		for ; i < len(bounds) && bounds[i].at == at; i++ {
+			k := bounds[i].k
+			if i > 0 && bounds[i-1].at == at && bounds[i-1].k == k {
+				continue // several of the target's events meet here
+			}
+			if f := factorAt(k, at); f != cur[k] {
+				cur[k] = f
+				s.changed = append(s.changed, tl.targets[k])
+				s.factors = append(s.factors, f)
 			}
 		}
-		if len(changed) == 0 {
+		if len(s.changed) == 0 {
 			continue // e.g. a repair masked by an overlapping failure
 		}
-		tl.steps = append(tl.steps, step{at: t, snap: sn, changed: changed})
-		prev = sn
+		s.at = at
+		tl.steps = append(tl.steps, s)
 	}
+
 	tl.state = State{link: make([]float64, nLink), host: make([]float64, nHost)}
+	for i := range tl.state.link {
+		tl.state.link[i] = 1
+	}
+	for i := range tl.state.host {
+		tl.state.host[i] = 1
+	}
 	tl.Rewind()
 	return tl
 }
@@ -171,8 +212,10 @@ func (tl *Timeline) Steps() int { return len(tl.steps) }
 // Rewind resets the state to t=0 (faults at or before zero applied) and
 // the cursor to the first change point.
 func (tl *Timeline) Rewind() {
-	copy(tl.state.link, tl.init.link)
-	copy(tl.state.host, tl.init.host)
+	for _, t := range tl.targets {
+		tl.state.set(t, 1)
+	}
+	tl.init.apply(&tl.state)
 	tl.cursor = 0
 }
 
@@ -189,8 +232,14 @@ func (tl *Timeline) Next() (float64, bool) {
 // timeline; read it before the next Compile, don't retain it.
 func (tl *Timeline) Step() []Target {
 	s := &tl.steps[tl.cursor]
-	copy(tl.state.link, s.snap.link)
-	copy(tl.state.host, s.snap.host)
+	s.apply(&tl.state)
 	tl.cursor++
 	return s.changed
+}
+
+// apply writes the step's new factors into st.
+func (s *step) apply(st *State) {
+	for i, t := range s.changed {
+		st.set(t, s.factors[i])
+	}
 }

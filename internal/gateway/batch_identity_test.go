@@ -105,3 +105,44 @@ func postRaw(t *testing.T, url, body string) rawResponse {
 	}
 	return rawResponse{status: resp.StatusCode, contentType: resp.Header.Get("Content-Type"), body: data}
 }
+
+// TestUnboundedHostFaultByteIdentical: a host_slow target past the node
+// id limit is a 400 from a direct worker, and the gateway relays the
+// same status and body, in both request forms and inside a batch.
+func TestUnboundedHostFaultByteIdentical(t *testing.T) {
+	workerCfg := server.Config{Workers: 1, CacheSize: 16}
+	a := httptest.NewServer(server.New(workerCfg).Handler())
+	defer a.Close()
+	b := httptest.NewServer(server.New(workerCfg).Handler())
+	defer b.Close()
+	direct := httptest.NewServer(server.New(workerCfg).Handler())
+	defer direct.Close()
+	g, err := New(Config{
+		Upstreams:      []Upstream{{Name: "a", URL: a.URL}, {Name: "b", URL: b.URL}},
+		HealthInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+
+	faultsBlock := `{"name":"s4","faults":[{"kind":"host_slow","host":68719476736,"factor":0.5,"at":0.1,"until":0.2}]}`
+	header := `{"scheme":"fault: host 68719476736 slow 0.5 at 0.1 until 0.2\na: 0 -> 1\n"}`
+	for _, c := range []struct{ path, body string }{
+		{"/v1/predict", faultsBlock},
+		{"/v1/predict", header},
+		{"/v1/predict/batch", `{"requests":[` + faultsBlock + `,{"name":"s4"}]}`},
+	} {
+		viaGateway := postRaw(t, gw.URL+c.path, c.body)
+		viaDirect := postRaw(t, direct.URL+c.path, c.body)
+		if c.path == "/v1/predict" && viaDirect.status != http.StatusBadRequest {
+			t.Fatalf("%s: direct status %d, want 400: %s", c.body, viaDirect.status, viaDirect.body)
+		}
+		if viaGateway.status != viaDirect.status || !bytes.Equal(viaGateway.body, viaDirect.body) {
+			t.Fatalf("%s: gateway %d %s, direct %d %s", c.body,
+				viaGateway.status, viaGateway.body, viaDirect.status, viaDirect.body)
+		}
+	}
+}

@@ -1,7 +1,5 @@
 package netsim
 
-import "bwshare/internal/topology"
-
 // Map-based full-recompute oracle for the incremental component-scoped
 // allocator, in the style of reference.go: on every call it partitions
 // the flow set into connected components of the constraint graph from
@@ -104,10 +102,3 @@ type ReferenceComponentAllocator struct {
 func (a *ReferenceComponentAllocator) Allocate(flows []*Flow) {
 	referenceComponentAllocate(a.Cfg, flows)
 }
-
-var _ ComponentAllocator = (*ReferenceComponentAllocator)(nil)
-
-// ComponentTopology implements ComponentAllocator: the oracle fills per
-// constraint component by construction, so it may serve as a shard
-// allocator (or the oracle side of sharded differential tests).
-func (a *ReferenceComponentAllocator) ComponentTopology() topology.Spec { return a.Cfg.Topo }

@@ -23,33 +23,19 @@ import (
 // graphRebuild is that historical allocator, kept as the oracle. On every
 // call it builds a conflict graph of the flows it is handed, asks the
 // model for its penalties, caps degraded endpoints and, on a fabric,
-// water-fills the uplinks. With components set it scores each
-// constraint component separately, as the sharded engine requires.
+// water-fills the uplinks.
 type graphRebuild struct {
-	m          core.Model
-	ref        float64
-	faults     *fault.State
-	topo       topology.Spec
-	tf         netsim.TopoFiller
-	components bool
+	m      core.Model
+	ref    float64
+	faults *fault.State
+	topo   topology.Spec
+	tf     netsim.TopoFiller
 }
-
-func (a *graphRebuild) ComponentTopology() topology.Spec { return a.topo }
 
 func (a *graphRebuild) Allocate(flows []*netsim.Flow) {
 	if len(flows) == 0 {
 		return
 	}
-	if !a.components {
-		a.fill(flows)
-		return
-	}
-	for _, grp := range componentGroups(flows, a.topo) {
-		a.fill(grp)
-	}
-}
-
-func (a *graphRebuild) fill(flows []*netsim.Flow) {
 	b := graph.NewBuilder()
 	for _, f := range flows {
 		b.Add(fmt.Sprintf("f%d", f.ID), f.Src, f.Dst, f.Remaining)
@@ -74,23 +60,15 @@ func (a *graphRebuild) fill(flows []*netsim.Flow) {
 	a.tf.Apply(flows, a.topo, a.ref)
 }
 
-// oracleSession is a Session on graphRebuild: sequential for shards 0,
-// else on the sharded core with that many shards.
-func oracleSession(m core.Model, ref float64, topo topology.Spec, sched fault.Schedule, shards int) *Session {
+// oracleSession is a Session on graphRebuild.
+func oracleSession(m core.Model, ref float64, topo topology.Spec, sched fault.Schedule) *Session {
 	var tl *fault.Timeline
 	var st *fault.State
 	if !sched.Empty() {
 		tl = fault.Compile(sched)
 		st = tl.State()
 	}
-	var e *netsim.FluidEngine
-	if shards == 0 {
-		e = netsim.NewFluidEngine("oracle", ref, &graphRebuild{m: m, ref: ref, faults: st, topo: topo, tf: netsim.TopoFiller{Faults: st}})
-	} else {
-		e = netsim.NewShardedFluidEngine("oracle", ref, shards, func() netsim.Allocator {
-			return &graphRebuild{m: m, ref: ref, faults: st, topo: topo, tf: netsim.TopoFiller{Faults: st}, components: true}
-		})
-	}
+	e := netsim.NewFluidEngine("oracle", ref, &graphRebuild{m: m, ref: ref, faults: st, topo: topo, tf: netsim.TopoFiller{Faults: st}})
 	if tl != nil {
 		e.SetFaults(tl)
 	}
@@ -179,9 +157,8 @@ func kernelSchedule(rng *rand.Rand, g *graph.Graph, topo topology.Spec) fault.Sc
 
 // TestKernelSessionsMatchGraphRebuild is the differential matrix: seeded
 // schemes x kernel models x {crossbar, star, fattree} x {healthy,
-// faulted} x {sequential, parallel} sessions, each bit-identical to the
-// same session on the graph-rebuild oracle. Sessions are reused across
-// schemes, so stale kernel scratch would show.
+// faulted} sessions, each bit-identical to the same session on the
+// graph-rebuild oracle.
 func TestKernelSessionsMatchGraphRebuild(t *testing.T) {
 	sets := kernelSchemes(t)
 	for _, name := range kernelModels {
@@ -192,30 +169,23 @@ func TestKernelSessionsMatchGraphRebuild(t *testing.T) {
 		ref := sub.RefRate()
 		for _, tp := range kernelTopos {
 			for _, faulted := range []bool{false, true} {
-				for _, shards := range []int{0, 2} {
-					rng := rand.New(rand.NewPCG(7, uint64(shards)))
-					for set, gs := range sets {
-						for si, g := range gs {
-							sched := fault.Schedule{}
-							if faulted {
-								sched = kernelSchedule(rng, g, tp.spec)
-							}
-							var s *Session
-							if shards == 0 {
-								s, err = NewSessionWithFaults(m, ref, tp.spec, sched)
-							} else {
-								s, err = NewSessionParallel(m, ref, tp.spec, sched, shards)
-							}
-							if err != nil {
-								t.Fatal(err)
-							}
-							got := s.Times(g)
-							want := oracleSession(m, ref, tp.spec, sched, shards).Times(g)
-							for i := range want {
-								if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-									t.Fatalf("%s/%s/faulted=%v/shards=%d/%s-%d comm %d: kernel %.17g, graph rebuild %.17g",
-										name, tp.name, faulted, shards, set, si, i, got[i], want[i])
-								}
+				rng := rand.New(rand.NewPCG(7, 0))
+				for set, gs := range sets {
+					for si, g := range gs {
+						sched := fault.Schedule{}
+						if faulted {
+							sched = kernelSchedule(rng, g, tp.spec)
+						}
+						s, err := NewSessionWithFaults(m, ref, tp.spec, sched)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got := s.Times(g)
+						want := oracleSession(m, ref, tp.spec, sched).Times(g)
+						for i := range want {
+							if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+								t.Fatalf("%s/%s/faulted=%v/%s-%d comm %d: kernel %.17g, graph rebuild %.17g",
+									name, tp.name, faulted, set, si, i, got[i], want[i])
 							}
 						}
 					}

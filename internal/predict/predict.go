@@ -13,6 +13,9 @@
 // NewEngine wraps any core.Model as a core.Engine, so predicted times and
 // substrate-measured times come from running the same drivers.
 //
+// Every session runs on netsim's one FluidEngine core, with the model
+// scored over the whole active set at each event.
+//
 // Models that implement model.Kernel — the GigE and InfiniBand degree
 // models, KimLee and Linear — are evaluated at each event straight from
 // the active flows' interned endpoints, in O(active flows) time and with

@@ -16,6 +16,9 @@
 //   - Barriers release every task at the instant the last one arrives.
 //   - Transfers between two tasks on the same cluster node bypass the
 //     network and cost cluster.LocalCopyTime(bytes).
+//
+// A replay owns its engine (see core.Engine): one goroutine calls the
+// engine and the task-side event queue.
 package replay
 
 import (
@@ -117,10 +120,8 @@ type sim struct {
 	clu   cluster.Cluster
 	place cluster.Placement
 	// q holds the task-side timers (compute ends, local copies, barrier
-	// releases). The replay loop is the queue's single owner — engine
-	// internals may shard work across goroutines (core.ShardedEngine),
-	// but every des.Queue stays pinned to one driver; this one to the
-	// replay loop, a sharded engine's to its owning shard.
+	// releases). The replay loop is its only caller, as it is the
+	// engine's (see core.Engine).
 	q      *des.Queue
 	tasks  []*task
 	sends  []*pendingSend
@@ -154,7 +155,7 @@ func Run(eng core.Engine, clu cluster.Cluster, place cluster.Placement, tr *trac
 		eng:    eng,
 		clu:    clu,
 		place:  place,
-		q:      des.NewQueue(),
+		q:      new(des.Queue),
 		flows:  make(map[int]*transfer),
 		remain: tr.NumTasks(),
 	}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -163,6 +164,44 @@ func TestPredictFaultErrors(t *testing.T) {
 		if !strings.Contains(string(body), c.want) {
 			t.Errorf("%s: error %s does not mention %q", c.name, body, c.want)
 		}
+	}
+}
+
+// TestPredictUnboundedHostFault: a crossbar has no host bound, so a
+// host_slow target far past MaxNodeID used to reach fault.Compile,
+// which sized its host tables by it and killed the process. Both the
+// faults block and a fault: header must answer 400 instead.
+func TestPredictUnboundedHostFault(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: 16})
+	bodies := []string{
+		`{"name":"s4","faults":[{"kind":"host_slow","host":68719476736,"factor":0.5,"at":0.1,"until":0.2}]}`,
+		`{"scheme":"fault: host 68719476736 slow 0.5 at 0.1 until 0.2\na: 0 -> 1\n"}`,
+		fmt.Sprintf(`{"name":"s4","faults":[{"kind":"host_slow","host":%d,"factor":0.5,"at":0.1,"until":0.2}]}`, MaxNodeID),
+	}
+	for _, body := range bodies {
+		resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", body, resp.StatusCode, out)
+			continue
+		}
+		if want := fmt.Sprintf("exceeds limit %d", MaxNodeID-1); !strings.Contains(string(out), want) {
+			t.Errorf("%s: error %s does not mention %q", body, out, want)
+		}
+	}
+	// The largest admitted host still predicts.
+	ok := fmt.Sprintf(`{"name":"s4","faults":[{"kind":"host_slow","host":%d,"factor":0.5,"at":0.1,"until":0.2}]}`, MaxNodeID-1)
+	resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(ok))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("host %d: status %d, want 200", MaxNodeID-1, resp.StatusCode)
 	}
 }
 

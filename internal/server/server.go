@@ -139,13 +139,6 @@ type Config struct {
 	// answered 503. 0 picks DefaultRequestTimeout; negative disables
 	// the deadline.
 	RequestTimeout time.Duration
-	// Shards is the worker shard count of every simulator session the
-	// service builds — per-request predictions and cluster what-ifs
-	// alike (see predict.NewSessionParallel). 0 or 1 keeps the
-	// sequential sessions. Sharded results are bit-identical across
-	// shard counts and within float rounding of the sequential session,
-	// so a deployment must pin one setting for cache/replay stability.
-	Shards int
 }
 
 // Server is the HTTP prediction service. Create with New.
@@ -204,22 +197,12 @@ type sessKey struct {
 
 // session returns the worker's session for (model, ref), creating it on
 // first use. Only trivial-topology sessions are cached (compute builds
-// throwaway sessions for fabrics), so the key needs no topology. shards
-// > 1 builds sharded sessions (predict.NewSessionParallel); since every
-// worker session of one server shares the count, it needs no key slot.
-func (w *worker) session(m core.Model, name string, ref float64, shards int) *predict.Session {
+// throwaway sessions for fabrics), so the key needs no topology.
+func (w *worker) session(m core.Model, name string, ref float64) *predict.Session {
 	k := sessKey{name, ref}
 	s := w.sessions[k]
 	if s == nil {
-		if shards > 1 {
-			var err error
-			if s, err = predict.NewSessionParallel(m, ref, topology.Spec{}, fault.Schedule{}, shards); err != nil {
-				// Empty schedule: NewSessionParallel cannot fail.
-				panic("server: " + err.Error())
-			}
-		} else {
-			s = predict.NewSession(m, ref)
-		}
+		s = predict.NewSession(m, ref)
 		w.sessions[k] = s
 	}
 	return s
@@ -348,13 +331,7 @@ func (s *Server) compute(ctx context.Context, g *graph.Graph, name string, stati
 		// map without bound by sweeping rates, topologies or schedules.
 		var sess *predict.Session
 		if ref == s.refs[name] && topo.Trivial() && sched.Empty() {
-			sess = w.session(s.models[name], name, ref, s.cfg.Shards)
-		} else if s.cfg.Shards > 1 {
-			var err error
-			if sess, err = predict.NewSessionParallel(s.models[name], ref, topo, sched, s.cfg.Shards); err != nil {
-				out = outcome{err: err}
-				return
-			}
+			sess = w.session(s.models[name], name, ref)
 		} else if sched.Empty() {
 			sess = predict.NewSessionWithTopology(s.models[name], ref, topo)
 		} else {
