@@ -24,20 +24,25 @@ race:
 	$(GO) test -race -cpu=1,2,8 ./internal/netsim/... ./internal/des/ ./internal/predict/ ./internal/replay/
 	$(GO) test -race ./internal/experiments/ ./internal/fault/ ./internal/server/ ./internal/fleet/ ./internal/gateway/ ./cmd/bwserved/ ./cmd/bwgate/
 
-# allocs runs the zero-allocation tests at GOMAXPROCS 1 and 4: an
-# allocation that only shows with more than one P fails here too.
+# allocs runs the zero-allocation tests, and the replay driver's
+# warm-run bound (the Result and its Tasks only), at GOMAXPROCS 1 and 4:
+# an allocation that only shows with more than one P fails here too.
 allocs:
-	$(GO) test -run 'ZeroAllocs' -cpu=1,4 ./internal/netsim/... ./internal/predict/ ./internal/fault/ ./internal/model/
+	$(GO) test -run 'ZeroAllocs|WarmAllocs' -cpu=1,4 ./internal/netsim/... ./internal/predict/ ./internal/fault/ ./internal/model/ ./internal/cluster/ ./internal/replay/
 
 # fuzz runs each fuzz target for a short fixed time. Their seed corpora
 # (testdata/fuzz) already run as plain tests under `go test`; this
 # explores beyond them. FuzzDegreePenalties holds the dense degree-model
 # kernels to the Definition 1 oracle, bit for bit. FuzzResolveGraph
 # feeds request bodies to the serving layer's resolver: no panic, and
-# every accepted fault schedule compiles with bounded host ids.
+# every accepted fault schedule compiles with bounded host ids and at
+# most api.MaxFaultEvents faults. FuzzReplayMatchesOracle replays small
+# random traces with the indexed driver and the scan-based oracle on
+# every engine: bit-identical results or the same error.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDegreePenalties$$' -fuzztime 20s ./internal/model/
 	$(GO) test -run '^$$' -fuzz '^FuzzResolveGraph$$' -fuzztime 20s ./internal/api/
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayMatchesOracle$$' -fuzztime 20s ./internal/replay/
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -20,8 +20,9 @@ import (
 // size limits. The fabric comes from the request's topology block or
 // (scheme text only) a 'topology:' header, but not both; likewise the
 // faults come from the request's faults block or the scheme's 'fault:'
-// headers, but not both. Fabric-dependent fault checks run here, after
-// the topology is final.
+// headers, but not both. Fabric-dependent fault checks and the fault
+// count and host bounds run here, after the topology and schedule are
+// final.
 func ResolveGraph(req PredictRequest) (*graph.Graph, topology.Spec, fault.Schedule, error) {
 	g, topo, sched, err := ResolveGraphForm(req)
 	if err != nil {
@@ -50,6 +51,11 @@ func ResolveGraph(req PredictRequest) (*graph.Graph, topology.Spec, fault.Schedu
 				return nil, topo, sched, fmt.Errorf("faults[%d]: %s", i, err)
 			}
 		}
+	}
+	// The schedule is final here, whichever form it came in: 'fault:'
+	// headers are held to the same bounds as the faults block.
+	if n := len(sched.Events); n > MaxFaultEvents {
+		return nil, topo, sched, fmt.Errorf("schedule of %d faults exceeds limit %d", n, MaxFaultEvents)
 	}
 	if err := CheckFaultHosts(sched); err != nil {
 		return nil, topo, sched, err

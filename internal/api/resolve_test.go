@@ -10,8 +10,9 @@ import (
 // FuzzResolveGraph feeds arbitrary JSON request bodies to the request
 // resolver. It must never panic, and whatever it accepts must be safe
 // to simulate: the schedule validates against the resolved fabric,
-// compiles, and names no host at or past MaxNodeID (fault.Compile
-// sizes its host tables by the largest one).
+// compiles, holds at most MaxFaultEvents faults in either form, and
+// names no host at or past MaxNodeID (fault.Compile sizes its host
+// tables by the largest one).
 func FuzzResolveGraph(f *testing.F) {
 	f.Add([]byte(`{"name":"s4"}`))
 	f.Add([]byte(`{"model":"gige","comms":[{"src":0,"dst":1,"volume":4e6},{"src":2,"dst":1}]}`))
@@ -29,6 +30,9 @@ func FuzzResolveGraph(f *testing.F) {
 		}
 		if err := sched.Validate(topo); err != nil {
 			t.Fatalf("accepted schedule does not validate: %v", err)
+		}
+		if len(sched.Events) > MaxFaultEvents {
+			t.Fatalf("accepted %d faults, limit %d", len(sched.Events), MaxFaultEvents)
 		}
 		for _, e := range sched.Events {
 			if e.Kind == fault.HostSlow && e.Target >= MaxNodeID {

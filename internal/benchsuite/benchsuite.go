@@ -15,21 +15,27 @@ import (
 	"regexp"
 	"testing"
 
+	"bwshare/internal/apps"
+	"bwshare/internal/cluster"
 	"bwshare/internal/core"
 	"bwshare/internal/experiments"
 	"bwshare/internal/fault"
 	"bwshare/internal/fleet"
 	"bwshare/internal/graph"
 	"bwshare/internal/measure"
+	"bwshare/internal/model"
 	"bwshare/internal/netsim"
 	"bwshare/internal/netsim/gige"
 	"bwshare/internal/netsim/infiniband"
 	"bwshare/internal/netsim/myrinet"
 	"bwshare/internal/predict"
 	"bwshare/internal/randgen"
+	"bwshare/internal/replay"
+	"bwshare/internal/sched"
 	"bwshare/internal/schemes"
 	"bwshare/internal/server"
 	"bwshare/internal/topology"
+	"bwshare/internal/trace"
 )
 
 // Benchmark is one named benchmark function.
@@ -371,6 +377,54 @@ func faultChurnBench(cfg netsim.CoupledConfig) func(b *testing.B) {
 	}
 }
 
+// composite64 builds the trace-replay workload's shape: a 4x4 halo
+// exchange, an 8-task all-to-all and a 40-task broadcast, 64 tasks
+// placed RRN on a 32-node dual-core cluster.
+func composite64() (*trace.Trace, cluster.Cluster, cluster.Placement, error) {
+	halo, err := apps.Halo2D(4, 4, 1, 4e6, 1e-3)
+	if err != nil {
+		return nil, cluster.Cluster{}, nil, err
+	}
+	a2a, err := apps.AllToAll(8, 1, 2e6, 1e-3)
+	if err != nil {
+		return nil, cluster.Cluster{}, nil, err
+	}
+	bcast, err := apps.Broadcast(40, 1, 8e6, 1e-3)
+	if err != nil {
+		return nil, cluster.Cluster{}, nil, err
+	}
+	tr, err := apps.Compose(halo, a2a, bcast)
+	if err != nil {
+		return nil, cluster.Cluster{}, nil, err
+	}
+	clu := cluster.Default(32)
+	place, err := sched.Place(sched.RRN, clu, tr.NumTasks(), 0)
+	return tr, clu, place, err
+}
+
+// replayBench measures one whole replay.Run of the composite64 trace
+// on the engine mk builds: the driver's matching and timers together
+// with the engine it calls.
+func replayBench(mk func() core.Engine) func(b *testing.B) {
+	return func(b *testing.B) {
+		tr, clu, place, err := composite64()
+		if err != nil {
+			b.Fatal(err)
+		}
+		e := mk()
+		if _, err := replay.Run(e, clu, place, tr); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := replay.Run(e, clu, place, tr); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // Suite returns the canonical benchmark list in presentation order.
 func Suite() []Benchmark {
 	gigeCfg := gige.DefaultConfig().Coupled()
@@ -410,6 +464,13 @@ func Suite() []Benchmark {
 		// are kept so the trajectory across BENCH_*.json stays joined.
 		{"ShardChurn/gige/64jobs/seq", shardChurnBench(64, seqEngine)},
 		{"ShardReplay/gige/64jobs/seq", shardReplayBench(64, seqEngine)},
+		// Trace replay: replay.Run of the 64-task composite trace on the
+		// GigE substrate and on the GigE model engine, the two halves of
+		// one trace-replay comparison.
+		{"Replay/composite64/gige", replayBench(func() core.Engine { return gige.New(gige.DefaultConfig()) })},
+		{"Replay/composite64/predict-gige", replayBench(func() core.Engine {
+			return predict.NewEngine(model.NewGigE(), gige.New(gige.DefaultConfig()).RefRate())
+		})},
 		// Fault churn: the dynamic-fabric replay cycle (PR 7) on the
 		// bench fat-tree at 0 allocs/op.
 		{"FaultChurn/inc/gige-fattree/8flows", faultChurnBench(gigeTopoCfg)},

@@ -59,22 +59,48 @@ func (c Cluster) LocalCopyTime(bytes float64) float64 {
 // Placement maps each MPI task rank to the cluster node hosting it.
 type Placement []graph.NodeID
 
-// Validate checks the placement against the cluster's capacity.
+// Validate checks the placement against the cluster's capacity. An
+// over-capacity error names the lowest overloaded node, so it is the
+// same on every call.
 func (p Placement) Validate(c Cluster) error {
-	perNode := make(map[graph.NodeID]int)
 	for rank, n := range p {
 		if int(n) < 0 || int(n) >= c.Nodes {
 			return fmt.Errorf("cluster: task %d placed on node %d, cluster has %d nodes", rank, n, c.Nodes)
 		}
-		perNode[n]++
 	}
-	for n, k := range perNode {
-		if k > c.CoresPerNode {
-			return fmt.Errorf("cluster: node %d hosts %d tasks, capacity %d", n, k, c.CoresPerNode)
+	over, k := graph.NodeID(-1), 0
+	if c.Nodes <= smallCluster {
+		// Count on the stack: replay validates on every run.
+		var counts [smallCluster]int
+		for _, n := range p {
+			counts[n]++
 		}
+		for n, cnt := range counts[:c.Nodes] {
+			if cnt > c.CoresPerNode {
+				over, k = graph.NodeID(n), cnt
+				break
+			}
+		}
+	} else {
+		perNode := make(map[graph.NodeID]int)
+		for _, n := range p {
+			perNode[n]++
+		}
+		for n, cnt := range perNode {
+			if cnt > c.CoresPerNode && (over < 0 || n < over) {
+				over, k = n, cnt
+			}
+		}
+	}
+	if over >= 0 {
+		return fmt.Errorf("cluster: node %d hosts %d tasks, capacity %d", over, k, c.CoresPerNode)
 	}
 	return nil
 }
+
+// smallCluster is the largest node count whose placement Validate
+// checks without allocating.
+const smallCluster = 256
 
 // SameNode reports whether two ranks share a node.
 func (p Placement) SameNode(a, b int) bool { return p[a] == p[b] }

@@ -62,3 +62,42 @@ func TestSameNode(t *testing.T) {
 		t.Fatal("SameNode wrong")
 	}
 }
+
+// TestPlacementValidateDeterministic: with several nodes over capacity,
+// the error names the lowest one, the same on every call, on a small
+// cluster (counted on the stack) and on a large one (counted in a map).
+func TestPlacementValidateDeterministic(t *testing.T) {
+	for _, nodes := range []int{16, 4 * smallCluster} {
+		c := Default(nodes)
+		p := Placement{}
+		for _, n := range []graph.NodeID{9, 3, 14, 5} {
+			p = append(p, n, n, n) // 3 tasks on a dual-core node
+		}
+		p = append(p, 3)
+		want := "cluster: node 3 hosts 4 tasks, capacity 2"
+		for i := 0; i < 50; i++ {
+			err := p.Validate(c)
+			if err == nil || err.Error() != want {
+				t.Fatalf("%d nodes, call %d: error %v, want %q", nodes, i, err, want)
+			}
+		}
+		if err := (Placement{9, 3, 9, 3, 0}).Validate(c); err != nil {
+			t.Errorf("%d nodes: placement within capacity rejected: %v", nodes, err)
+		}
+	}
+}
+
+func TestPlacementValidateZeroAllocs(t *testing.T) {
+	c := Default(32)
+	p := make(Placement, 64)
+	for i := range p {
+		p[i] = graph.NodeID(i % 32)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if err := p.Validate(c); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("Validate allocates %.1f times per call on a %d-node cluster", a, c.Nodes)
+	}
+}

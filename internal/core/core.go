@@ -55,8 +55,11 @@ type Completion struct {
 //
 //   - StartFlow(src, dst, bytes, now) registers a flow beginning at time
 //     now, which must be >= the engine's current frontier (the time last
-//     returned by Advance, 0 initially). It returns a flow id unique for
-//     the engine's lifetime.
+//     returned by Advance, 0 initially). It returns the flow's id. Ids
+//     are consecutive: 0 for the first flow after construction or
+//     Reset, and one more for each later StartFlow. Drivers rely on
+//     this density to index per-flow state by id (the replay driver's
+//     flow table, predict.Session's reverse map).
 //   - Advance(limit) runs the engine forward until either limit is
 //     reached or at least one flow completes, whichever is earlier. It
 //     returns the flows that completed at the reached instant (all with

@@ -3,6 +3,7 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -142,6 +143,54 @@ func TestUnboundedHostFaultByteIdentical(t *testing.T) {
 		}
 		if viaGateway.status != viaDirect.status || !bytes.Equal(viaGateway.body, viaDirect.body) {
 			t.Fatalf("%s: gateway %d %s, direct %d %s", c.body,
+				viaGateway.status, viaGateway.body, viaDirect.status, viaDirect.body)
+		}
+	}
+}
+
+// TestFaultHeadersOverLimitByteIdentical: scheme text with one fault:
+// header past api.MaxFaultEvents is a 400 from a direct worker, and the
+// gateway, which resolves the request itself to pick a shard, relays
+// the same status and body, alone and inside a batch.
+func TestFaultHeadersOverLimitByteIdentical(t *testing.T) {
+	workerCfg := server.Config{Workers: 1, CacheSize: 16}
+	a := httptest.NewServer(server.New(workerCfg).Handler())
+	defer a.Close()
+	b := httptest.NewServer(server.New(workerCfg).Handler())
+	defer b.Close()
+	direct := httptest.NewServer(server.New(workerCfg).Handler())
+	defer direct.Close()
+	g, err := New(Config{
+		Upstreams:      []Upstream{{Name: "a", URL: a.URL}, {Name: "b", URL: b.URL}},
+		HealthInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+
+	var text strings.Builder
+	for i := 0; i <= api.MaxFaultEvents; i++ {
+		fmt.Fprintf(&text, "fault: host %d slow 0.5 at %g until %g\n", i%2, float64(i)*1e-3, float64(i)*1e-3+5e-4)
+	}
+	text.WriteString("a: 0 -> 1\n")
+	body, err := json.Marshal(map[string]string{"scheme": text.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ path, body string }{
+		{"/v1/predict", string(body)},
+		{"/v1/predict/batch", `{"requests":[` + string(body) + `,{"name":"s4"}]}`},
+	} {
+		viaGateway := postRaw(t, gw.URL+c.path, c.body)
+		viaDirect := postRaw(t, direct.URL+c.path, c.body)
+		if c.path == "/v1/predict" && viaDirect.status != http.StatusBadRequest {
+			t.Fatalf("direct status %d, want 400: %s", viaDirect.status, viaDirect.body)
+		}
+		if viaGateway.status != viaDirect.status || !bytes.Equal(viaGateway.body, viaDirect.body) {
+			t.Fatalf("%s: gateway %d %s, direct %d %s", c.path,
 				viaGateway.status, viaGateway.body, viaDirect.status, viaDirect.body)
 		}
 	}

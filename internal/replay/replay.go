@@ -17,13 +17,30 @@
 //   - Transfers between two tasks on the same cluster node bypass the
 //     network and cost cluster.LocalCopyTime(bytes).
 //
+// Matching costs O(1) per message, not a scan of every pending pair.
+// Send and Recv both block, so a task has at most one pending operation
+// (asserted by panic). Each rank therefore has at most one posted
+// receive, and the sends waiting for a rank form one FIFO in posting
+// order, linked through the sending tasks. A new send checks only its
+// receiver's posted receive; a new receive takes the first compatible
+// send of its own FIFO. Every post is matched at once, so no other pair
+// can become matchable: this picks exactly the pair a scan in posting
+// order would.
+//
+// The per-run state (event queue, tasks with their transfers, the flow
+// table) is pooled and reused across Run calls: a warm Run allocates
+// only the returned Result and its Tasks. Timers are des.Runner values
+// (the task for compute ends and barrier releases, the transfer for
+// local copies), and engine flow ids index a slice from the run's first
+// id, since core.Engine hands out consecutive ids.
+//
 // A replay owns its engine (see core.Engine): one goroutine calls the
 // engine and the task-side event queue.
 package replay
 
 import (
 	"fmt"
-	"math"
+	"sync"
 
 	"bwshare/internal/cluster"
 	"bwshare/internal/core"
@@ -74,39 +91,17 @@ type taskPhase int
 const (
 	phaseReady taskPhase = iota
 	phaseComputing
-	phaseSendWait // reached a send, waiting for matching recv or transfer end
-	phaseRecvWait // reached a recv, waiting for matching send or transfer end
+	phaseSend     // posted a send, waiting in its receiver's FIFO
+	phaseRecv     // posted a receive, waiting for a matching send
+	phaseTransfer // matched, waiting for the transfer to end
 	phaseBarrier
 	phaseDone
 )
 
-// pendingSend is a send that has reached its call and awaits matching.
-type pendingSend struct {
-	from, to int
-	tag      int
-	bytes    float64
-	atTime   float64 // when the sender reached the call
-	seq      int     // global arrival order for deterministic ANY_SOURCE
-}
-
-// pendingRecv is a posted receive awaiting a matching send.
-type pendingRecv struct {
-	by   int
-	from int // trace.AnySource allowed
-	tag  int
-	seq  int
-}
-
-type task struct {
-	rank    int
-	prog    trace.Task
-	pc      int
-	phase   taskPhase
-	opStart float64 // when the current blocking op began
-}
-
-// transfer is an in-flight matched communication.
+// transfer is an in-flight matched communication. It is stored in its
+// sender, which is blocked until the transfer ends.
 type transfer struct {
+	s         *sim
 	from, to  int
 	sendStart float64 // sender call time
 	recvStart float64
@@ -115,6 +110,34 @@ type transfer struct {
 	local     bool
 }
 
+// Run ends a local copy (des.Runner).
+func (x *transfer) Run() { x.s.finishTransfer(x, x.s.q.Now()) }
+
+type task struct {
+	s       *sim
+	rank    int
+	prog    trace.Task
+	pc      int
+	phase   taskPhase
+	opStart float64 // when the current blocking op began
+	// head and tail delimit the FIFO of ranks whose posted sends wait
+	// for this task; next links this task into its receiver's FIFO
+	// while its own send waits there. -1 ends a list.
+	head, tail, next int
+	xfer             transfer
+}
+
+// Run resumes the task after a compute phase or a barrier (des.Runner).
+func (t *task) Run() { t.s.step(t, t.s.q.Now()) }
+
+// accepts reports whether t's posted receive matches a send from rank
+// from with the given tag.
+func (t *task) accepts(from, tag int) bool {
+	ev := &t.prog[t.pc]
+	return ev.Tag == tag && (ev.Peer == trace.AnySource || ev.Peer == from)
+}
+
+// sim is the per-run driver state, pooled across runs.
 type sim struct {
 	eng   core.Engine
 	clu   cluster.Cluster
@@ -122,16 +145,19 @@ type sim struct {
 	// q holds the task-side timers (compute ends, local copies, barrier
 	// releases). The replay loop is its only caller, as it is the
 	// engine's (see core.Engine).
-	q      *des.Queue
-	tasks  []*task
-	sends  []*pendingSend
-	recvs  []*pendingRecv
-	seq    int
-	flows  map[int]*transfer // engine flow id -> transfer
-	inBar  int
-	res    Result
-	remain int
+	q     des.Queue
+	tasks []task
+	// flows maps engine flow id minus flowBase to its transfer; nil
+	// once the transfer has ended.
+	flows    []*transfer
+	flowBase int
+	done     []core.Completion
+	inBar    int
+	remain   int
+	res      *Result
 }
+
+var sims = sync.Pool{New: func() any { return new(sim) }}
 
 // Run replays tr over eng with the given cluster and placement. The
 // engine is reset first if it supports it.
@@ -151,29 +177,49 @@ func Run(eng core.Engine, clu cluster.Cluster, place cluster.Placement, tr *trac
 	if r, ok := eng.(core.Resetter); ok {
 		r.Reset()
 	}
-	s := &sim{
-		eng:    eng,
-		clu:    clu,
-		place:  place,
-		q:      new(des.Queue),
-		flows:  make(map[int]*transfer),
-		remain: tr.NumTasks(),
-	}
-	s.res.Engine = eng.Name()
-	s.res.Tasks = make([]TaskResult, tr.NumTasks())
-	for rank := range tr.Tasks {
-		t := &task{rank: rank, prog: tr.Tasks[rank]}
-		s.tasks = append(s.tasks, t)
-		s.res.Tasks[rank].Rank = rank
-	}
+	s := sims.Get().(*sim)
+	s.reset(eng, clu, place, tr)
 	// Kick every task off at time zero.
-	for _, t := range s.tasks {
-		s.step(t, 0)
+	for i := range s.tasks {
+		s.step(&s.tasks[i], 0)
 	}
-	if err := s.loop(); err != nil {
+	err := s.loop()
+	res := s.res
+	s.release()
+	if err != nil {
 		return nil, err
 	}
-	return &s.res, nil
+	return res, nil
+}
+
+// reset prepares pooled state for a replay of tr; only the Result and
+// its Tasks are allocated.
+func (s *sim) reset(eng core.Engine, clu cluster.Cluster, place cluster.Placement, tr *trace.Trace) {
+	n := tr.NumTasks()
+	s.eng, s.clu, s.place = eng, clu, place
+	s.q.Reset()
+	if cap(s.tasks) < n {
+		s.tasks = make([]task, n)
+	}
+	s.tasks = s.tasks[:n]
+	for rank := range s.tasks {
+		s.tasks[rank] = task{s: s, rank: rank, prog: tr.Tasks[rank], head: -1, tail: -1, next: -1}
+	}
+	s.flows = s.flows[:0]
+	s.inBar = 0
+	s.remain = n
+	s.res = &Result{Engine: eng.Name(), Tasks: make([]TaskResult, n)}
+	for rank := range s.res.Tasks {
+		s.res.Tasks[rank].Rank = rank
+	}
+}
+
+// release drops the run's references and returns s to the pool.
+func (s *sim) release() {
+	s.eng, s.place, s.res = nil, nil, nil
+	clear(s.tasks)
+	clear(s.flows)
+	sims.Put(s)
 }
 
 // loop interleaves engine progress with task timers until all tasks end.
@@ -189,16 +235,16 @@ func (s *sim) loop() error {
 		}
 		done, now := s.eng.Advance(tq)
 		if len(done) > 0 {
-			for _, c := range done {
+			// Ending a transfer may start flows, which the engine
+			// contract lets invalidate done: work from a copy.
+			s.done = append(s.done[:0], done...)
+			for _, c := range s.done {
 				s.finishNetTransfer(c.Flow, c.Time)
 			}
 			continue
 		}
 		if !ok {
-			if s.remain > 0 {
-				return fmt.Errorf("replay: deadlock at t=%.6f: %d tasks blocked with no pending events", now, s.remain)
-			}
-			return nil
+			return fmt.Errorf("replay: deadlock at t=%.6f: %d tasks blocked with no pending events", now, s.remain)
 		}
 		s.q.Step()
 	}
@@ -207,157 +253,149 @@ func (s *sim) loop() error {
 
 // step advances task t from time now until it blocks or finishes.
 func (s *sim) step(t *task, now float64) {
-	for {
-		if t.pc >= len(t.prog) {
-			t.phase = phaseDone
-			s.res.Tasks[t.rank].Finish = now
-			if now > s.res.Makespan {
-				s.res.Makespan = now
-			}
-			s.remain--
-			return
-		}
-		ev := t.prog[t.pc]
-		switch ev.Kind {
-		case trace.Compute:
-			t.phase = phaseComputing
-			t.pc++
-			tt := t
-			s.q.Schedule(now+ev.Duration, func() { s.step(tt, s.q.Now()) })
-			return
-		case trace.Send:
-			t.phase = phaseSendWait
-			t.opStart = now
-			s.seq++
-			s.sends = append(s.sends, &pendingSend{
-				from: t.rank, to: ev.Peer, tag: ev.Tag, bytes: ev.Bytes,
-				atTime: now, seq: s.seq,
-			})
-			s.match(now)
-			return
-		case trace.Recv:
-			t.phase = phaseRecvWait
-			t.opStart = now
-			s.seq++
-			s.recvs = append(s.recvs, &pendingRecv{
-				by: t.rank, from: ev.Peer, tag: ev.Tag, seq: s.seq,
-			})
-			s.match(now)
-			return
-		case trace.Barrier:
-			t.phase = phaseBarrier
-			s.inBar++
-			if s.inBar == s.liveTasks() {
-				s.releaseBarrier(now)
-			}
-			return
-		default:
-			panic(fmt.Sprintf("replay: unknown event kind %q", ev.Kind))
-		}
+	if t.phase != phaseReady && t.phase != phaseComputing {
+		panic(fmt.Sprintf("replay: task %d resumed with an operation pending (phase %d)", t.rank, t.phase))
 	}
-}
-
-// liveTasks counts tasks that have not finished their program; barriers
-// only synchronize those (a finished task cannot reach the barrier).
-func (s *sim) liveTasks() int {
-	n := 0
-	for _, t := range s.tasks {
-		if t.phase != phaseDone {
-			n++
+	if t.pc >= len(t.prog) {
+		t.phase = phaseDone
+		s.res.Tasks[t.rank].Finish = now
+		if now > s.res.Makespan {
+			s.res.Makespan = now
 		}
+		s.remain--
+		return
 	}
-	return n
+	ev := &t.prog[t.pc]
+	switch ev.Kind {
+	case trace.Compute:
+		t.phase = phaseComputing
+		t.pc++
+		s.q.ScheduleRunner(now+ev.Duration, t)
+	case trace.Send:
+		t.phase = phaseSend
+		t.opStart = now
+		s.postSend(t, ev, now)
+	case trace.Recv:
+		t.phase = phaseRecv
+		t.opStart = now
+		s.postRecv(t, ev, now)
+	case trace.Barrier:
+		t.phase = phaseBarrier
+		s.inBar++
+		// Barriers synchronize live tasks only: a finished task cannot
+		// reach one.
+		if s.inBar == s.remain {
+			s.releaseBarrier(now)
+		}
+	default:
+		panic(fmt.Sprintf("replay: unknown event kind %q", ev.Kind))
+	}
 }
 
 func (s *sim) releaseBarrier(now float64) {
 	s.inBar = 0
-	for _, t := range s.tasks {
+	for i := range s.tasks {
+		t := &s.tasks[i]
 		if t.phase == phaseBarrier {
 			t.phase = phaseReady
 			t.pc++
-			tt := t
-			s.q.Schedule(now, func() { s.step(tt, s.q.Now()) })
+			s.q.ScheduleRunner(now, t)
 		}
 	}
 }
 
-// match pairs pending sends with pending receives and starts transfers.
-func (s *sim) match(now float64) {
-	for {
-		si, ri := s.findMatch()
-		if si < 0 {
-			return
+// postSend matches t's send with its receiver's posted receive, or
+// queues it in the receiver's FIFO.
+func (s *sim) postSend(t *task, ev *trace.Event, now float64) {
+	r := &s.tasks[ev.Peer]
+	if r.phase == phaseRecv && r.accepts(t.rank, ev.Tag) {
+		s.start(t, r, ev.Bytes, now)
+		return
+	}
+	t.next = -1
+	if r.tail < 0 {
+		r.head = t.rank
+	} else {
+		s.tasks[r.tail].next = t.rank
+	}
+	r.tail = t.rank
+}
+
+// postRecv matches t's receive with the first compatible send of its
+// FIFO, if any; otherwise the receive stays posted.
+func (s *sim) postRecv(t *task, ev *trace.Event, now float64) {
+	prev := -1
+	for i := t.head; i >= 0; prev, i = i, s.tasks[i].next {
+		snd := &s.tasks[i]
+		sev := &snd.prog[snd.pc]
+		if sev.Tag != ev.Tag || (ev.Peer != trace.AnySource && ev.Peer != i) {
+			continue
 		}
-		snd := s.sends[si]
-		s.sends = append(s.sends[:si], s.sends[si+1:]...)
-		rcv := s.recvs[ri]
-		s.recvs = append(s.recvs[:ri], s.recvs[ri+1:]...)
-		tr := &transfer{
-			from:      snd.from,
-			to:        rcv.by,
-			sendStart: snd.atTime,
-			recvStart: s.tasks[rcv.by].opStart,
-			matched:   now,
-			bytes:     snd.bytes,
-			local:     s.place.SameNode(snd.from, rcv.by),
-		}
-		if tr.local {
-			s.res.LocalTransfers++
-			dur := s.clu.LocalCopyTime(tr.bytes)
-			trCopy := tr
-			s.q.Schedule(now+dur, func() { s.finishTransfer(trCopy, s.q.Now()) })
+		if prev < 0 {
+			t.head = snd.next
 		} else {
-			s.res.NetTransfers++
-			id := s.eng.StartFlow(s.place[snd.from], s.place[rcv.by], tr.bytes, now)
-			s.flows[id] = tr
+			s.tasks[prev].next = snd.next
 		}
+		if t.tail == i {
+			t.tail = prev
+		}
+		s.start(snd, t, sev.Bytes, now)
+		return
 	}
 }
 
-// findMatch returns the indices of the first matching (send, recv) pair
-// in posting order, or (-1, -1). Receives match sends with equal tag and
-// compatible source; among candidates the earliest-posted send wins.
-func (s *sim) findMatch() (int, int) {
-	for ri, r := range s.recvs {
-		best, bestSeq := -1, math.MaxInt64
-		for si, snd := range s.sends {
-			if snd.to != r.by || snd.tag != r.tag {
-				continue
-			}
-			if r.from != trace.AnySource && snd.from != r.from {
-				continue
-			}
-			if snd.seq < bestSeq {
-				best, bestSeq = si, snd.seq
-			}
-		}
-		if best >= 0 {
-			return best, ri
-		}
+// start begins the transfer of a matched pair.
+func (s *sim) start(snd, rcv *task, bytes, now float64) {
+	snd.phase, rcv.phase = phaseTransfer, phaseTransfer
+	x := &snd.xfer
+	*x = transfer{
+		s:         s,
+		from:      snd.rank,
+		to:        rcv.rank,
+		sendStart: snd.opStart,
+		recvStart: rcv.opStart,
+		matched:   now,
+		bytes:     bytes,
+		local:     s.place.SameNode(snd.rank, rcv.rank),
 	}
-	return -1, -1
+	if x.local {
+		s.res.LocalTransfers++
+		s.q.ScheduleRunner(now+s.clu.LocalCopyTime(bytes), x)
+		return
+	}
+	s.res.NetTransfers++
+	id := s.eng.StartFlow(s.place[snd.rank], s.place[rcv.rank], bytes, now)
+	if len(s.flows) == 0 {
+		s.flowBase = id
+	}
+	if want := s.flowBase + len(s.flows); id != want {
+		panic(fmt.Sprintf("replay: engine returned flow id %d, want %d (flow ids must be consecutive)", id, want))
+	}
+	s.flows = append(s.flows, x)
 }
 
 func (s *sim) finishNetTransfer(flowID int, now float64) {
-	tr, ok := s.flows[flowID]
-	if !ok {
+	i := flowID - s.flowBase
+	if i < 0 || i >= len(s.flows) || s.flows[i] == nil {
 		panic(fmt.Sprintf("replay: engine reported unknown flow %d", flowID))
 	}
-	delete(s.flows, flowID)
-	s.finishTransfer(tr, now)
+	x := s.flows[i]
+	s.flows[i] = nil
+	s.finishTransfer(x, now)
 }
 
-func (s *sim) finishTransfer(tr *transfer, now float64) {
-	sender := s.tasks[tr.from]
-	receiver := s.tasks[tr.to]
-	sres := &s.res.Tasks[tr.from]
-	sres.SendTime += now - tr.sendStart
-	sres.BlockedSend += tr.matched - tr.sendStart
+func (s *sim) finishTransfer(x *transfer, now float64) {
+	// x lives in the sender, which may start its next transfer below.
+	sender := &s.tasks[x.from]
+	receiver := &s.tasks[x.to]
+	sres := &s.res.Tasks[x.from]
+	sres.SendTime += now - x.sendStart
+	sres.BlockedSend += x.matched - x.sendStart
 	sres.Sends++
-	if !tr.local {
-		sres.NetBytes += tr.bytes
+	if !x.local {
+		sres.NetBytes += x.bytes
 	}
-	s.res.Tasks[tr.to].RecvTime += now - tr.recvStart
+	s.res.Tasks[x.to].RecvTime += now - x.recvStart
 	sender.phase = phaseReady
 	sender.pc++
 	receiver.phase = phaseReady

@@ -4,12 +4,14 @@ import (
 	"math"
 	"testing"
 
+	"bwshare/internal/apps"
 	"bwshare/internal/cluster"
 	"bwshare/internal/core"
 	"bwshare/internal/graph"
 	"bwshare/internal/model"
 	"bwshare/internal/netsim/gige"
 	"bwshare/internal/predict"
+	"bwshare/internal/sched"
 	"bwshare/internal/trace"
 )
 
@@ -233,5 +235,49 @@ func TestMeasuredVsPredictedSameDriver(t *testing.T) {
 	if math.Abs(meas.Tasks[0].SendTime-pred.Tasks[0].SendTime) > 1e-9 {
 		t.Errorf("measured %g vs predicted %g for an uncontended transfer",
 			meas.Tasks[0].SendTime, pred.Tasks[0].SendTime)
+	}
+}
+
+// TestRunWarmAllocs: once its pooled state and the engine are warm, a
+// replay allocates only the returned Result and its Tasks slice, on a
+// substrate and on a model engine. sync.Pool drops items at random
+// under the race detector, so the test skips there.
+func TestRunWarmAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool is randomized under -race")
+	}
+	halo, err := apps.Halo2D(4, 4, 1, 4e6, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2a, err := apps.AllToAll(8, 1, 2e6, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bcast, err := apps.Broadcast(40, 1, 8e6, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := apps.Compose(halo, a2a, bcast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clu := cluster.Default(32)
+	place := sched.MustPlace(sched.RRN, clu, tr.NumTasks(), 0)
+	sub := engine()
+	for _, e := range []core.Engine{sub, predict.NewEngine(model.NewGigE(), sub.RefRate())} {
+		for i := 0; i < 3; i++ {
+			if _, err := Run(e, clu, place, tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := Run(e, clu, place, tr); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("%s: %.1f allocs per warm Run, want <= 2 (Result and Tasks)", e.Name(), allocs)
+		}
 	}
 }

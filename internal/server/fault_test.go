@@ -167,6 +167,34 @@ func TestPredictFaultErrors(t *testing.T) {
 	}
 }
 
+// faultHeaders returns scheme text declaring n host_slow fault: headers
+// over the s4-sized two-node scheme.
+func faultHeaders(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "fault: host %d slow 0.5 at %g until %g\n", i%2, float64(i)*1e-3, float64(i)*1e-3+5e-4)
+	}
+	b.WriteString("a: 0 -> 1\n")
+	return b.String()
+}
+
+// TestPredictFaultHeadersOverLimit: fault: headers in scheme text are
+// held to MaxFaultEvents like the faults block. One header past the
+// limit is a 400 naming it; exactly the limit still predicts.
+func TestPredictFaultHeadersOverLimit(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, CacheSize: 16})
+	code, body := postJSON(t, ts.URL+"/v1/predict", PredictRequest{Scheme: faultHeaders(MaxFaultEvents + 1)})
+	if code != http.StatusBadRequest {
+		t.Fatalf("%d headers: status %d, want 400: %s", MaxFaultEvents+1, code, body)
+	}
+	if want := fmt.Sprintf("schedule of %d faults exceeds limit %d", MaxFaultEvents+1, MaxFaultEvents); !strings.Contains(string(body), want) {
+		t.Errorf("error %s does not mention %q", body, want)
+	}
+	if code, body := postJSON(t, ts.URL+"/v1/predict", PredictRequest{Scheme: faultHeaders(MaxFaultEvents)}); code != http.StatusOK {
+		t.Errorf("%d headers: status %d, want 200: %s", MaxFaultEvents, code, body)
+	}
+}
+
 // TestPredictUnboundedHostFault: a crossbar has no host bound, so a
 // host_slow target far past MaxNodeID used to reach fault.Compile,
 // which sized its host tables by it and killed the process. Both the
